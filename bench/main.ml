@@ -314,11 +314,7 @@ let replay_bench ~quick ?json () =
   let setup mech path =
     let w = K23_userland.Sim.create_world () in
     register w;
-    if Mech.needs_offline mech then begin
-      ignore (K23_core.K23.offline_run w ~path ());
-      K23_core.K23.seal_logs w
-    end;
-    K23_kernel.Kern.fault_reset w;
+    Mech.prologue mech w ~path;
     w
   in
   let run_in w mech path =
@@ -485,6 +481,29 @@ let () =
     in
     go [] args
   in
+  let jobs1 = Option.value jobs ~default:1 in
+  let registry =
+    [
+      ("table2", table2);
+      ("table3", table3);
+      ("fig1", fig1);
+      ("fig3", fig3);
+      ("table5", table5 ~runs:(if quick then 3 else 10) ~jobs:jobs1);
+      ("table6", table6 ~runs:(if quick then 3 else 5) ~jobs:jobs1);
+      ("startup", startup);
+      ("memory", memory);
+      ("ablation", ablation);
+      ("seccomp", seccomp);
+      ("arm", arm);
+      ("simperf", simperf ~quick ?json:(json_or "BENCH_simperf.json"));
+      ("ktrace", ktrace ~quick);
+      ("fuzz", fuzz ~quick ~jobs);
+      ("parfuzz", parfuzz ~quick ~repeat ~check ~jobs ?json:(json_or "BENCH_parfuzz.json"));
+      ("replay", replay_bench ~quick ?json:(json_or "BENCH_replay.json"));
+      ("table6-load", table6_load ~quick ~jobs:jobs1 ?json:(json_or "BENCH_load.json"));
+      ("table6-chaos", table6_chaos ~quick ~jobs:jobs1 ?json:(json_or "BENCH_chaos.json"));
+    ]
+  in
   let experiments =
     if args = [] then
       [
@@ -493,32 +512,12 @@ let () =
       ]
     else args
   in
-  List.iter
-    (fun name ->
-      match name with
-      | "table2" -> table2 ()
-      | "table3" -> table3 ()
-      | "fig1" -> fig1 ()
-      | "fig3" -> fig3 ()
-      | "table5" -> table5 ~runs:(if quick then 3 else 10) ~jobs:(Option.value jobs ~default:1) ()
-      | "table6" -> table6 ~runs:(if quick then 3 else 5) ~jobs:(Option.value jobs ~default:1) ()
-      | "startup" -> startup ()
-      | "memory" -> memory ()
-      | "ablation" -> ablation ()
-      | "seccomp" -> seccomp ()
-      | "arm" -> arm ()
-      | "simperf" -> simperf ~quick ?json:(json_or "BENCH_simperf.json") ()
-      | "ktrace" -> ktrace ~quick ()
-      | "fuzz" -> fuzz ~quick ~jobs ()
-      | "parfuzz" -> parfuzz ~quick ~repeat ~check ~jobs ?json:(json_or "BENCH_parfuzz.json") ()
-      | "replay" -> replay_bench ~quick ?json:(json_or "BENCH_replay.json") ()
-      | "table6-load" ->
-        table6_load ~quick
-          ~jobs:(Option.value jobs ~default:1)
-          ?json:(json_or "BENCH_load.json") ()
-      | "table6-chaos" ->
-        table6_chaos ~quick
-          ~jobs:(Option.value jobs ~default:1)
-          ?json:(json_or "BENCH_chaos.json") ()
-      | other -> Printf.eprintf "unknown experiment %S\n" other)
-    experiments
+  (* every name is checked before anything runs: a typo must fail the
+     invocation, not silently skip one experiment of a CI step *)
+  (match List.filter (fun name -> not (List.mem_assoc name registry)) experiments with
+  | [] -> ()
+  | unknown ->
+    List.iter (Printf.eprintf "unknown experiment %S\n") unknown;
+    Printf.eprintf "known experiments: %s\n" (String.concat " " (List.map fst registry));
+    exit 2);
+  List.iter (fun name -> (List.assoc name registry) ()) experiments

@@ -8,7 +8,6 @@
      k23 offline <app>                run the offline phase, print the log
      k23 pitfalls                     run the PoCs, print Table 3
      k23 fuzz [--jobs N]              differential conformance fuzzing
-     k23 bench table5|table6|fuzz     evaluation sweeps, --jobs to shard
      k23 apps                         list bundled applications
 
    Bundled apps are the simulated coreutils (pwd, touch, ls, cat,
@@ -59,10 +58,7 @@ let run_cmd =
   let run app mech =
     let w = setup_world () in
     let path = resolve_app app in
-    if K23_eval.Mech.needs_offline mech then begin
-      ignore (K23.offline_run w ~path ());
-      K23.seal_logs w
-    end;
+    K23_eval.Mech.prologue mech w ~path;
     match K23_eval.Mech.launch mech w ~path () with
     | Error e -> Printf.eprintf "launch failed: %s\n" (Errno.to_string e)
     | Ok (p, stats) ->
@@ -117,15 +113,12 @@ let trace_cmd =
              reports the full event count.")
   in
   (* Structured path: run [app] under [mech] with the ktrace ring
-     enabled (after K23's offline phase, so the stream covers the
+     enabled (after the mechanism's prologue, so the stream covers the
      online run) and render the events human- or JSON-style. *)
   let run_ktrace ~mech ~json ~seed ~limit path =
     let w = Sim.create_world ?seed () in
     Apps.Coreutils.register_all w;
-    if K23_eval.Mech.needs_offline mech then begin
-      ignore (K23.offline_run w ~path ());
-      K23.seal_logs w
-    end;
+    K23_eval.Mech.prologue mech w ~path;
     let t = Kern.ktrace_enable w in
     match K23_eval.Mech.launch mech w ~path () with
     | Error e -> Printf.eprintf "launch failed: %s\n" (Errno.to_string e)
@@ -141,7 +134,7 @@ let trace_cmd =
       if json then
         print_string
           (K23_obs.Render.json_stream ~namer:Sysno.name
-             ~counters:(K23_obs.Counters.to_alist t.K23_obs.Trace.counters)
+             ~counters:(K23_obs.Counters.to_list t.K23_obs.Trace.counters)
              ~dropped:(K23_obs.Trace.dropped t) shown)
       else begin
         print_string (K23_obs.Render.human_stream ~namer:Sysno.name shown);
@@ -156,8 +149,7 @@ let trace_cmd =
      handler, byte-compatible with earlier releases. *)
   let run_legacy path =
     let w = setup_world () in
-    ignore (K23.offline_run w ~path ());
-    K23.seal_logs w;
+    K23_eval.Mech.prologue K23_eval.Mech.K23_default w ~path;
     let inner : I.handler =
      fun ctx ~nr ~args ~site ->
       Printf.printf "%s%-18s(%#x, %#x, %#x) @%#x\n"
@@ -491,55 +483,6 @@ let fuzz_cmd =
       const run $ seed $ iters $ mech $ shapes $ minimize $ save $ json $ faults $ jobs $ oracle
       $ isa)
 
-let bench_cmd =
-  let module F = K23_fuzz in
-  let exps =
-    Arg.(
-      non_empty
-      & pos_all (enum [ ("table5", `Table5); ("table6", `Table6); ("fuzz", `Fuzz) ]) []
-      & info [] ~docv:"EXPERIMENT" ~doc:"$(b,table5), $(b,table6) or $(b,fuzz).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Shard the sweep across N domains; tables and reports are identical for every N.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Fewer repetitions per cell / fewer iterations.")
-  in
-  let run exps jobs quick =
-    List.iter
-      (fun exp ->
-        match exp with
-        | `Table5 ->
-          print_string
-            (K23_eval.Micro.render (K23_eval.Micro.table5 ~runs:(if quick then 3 else 10) ~jobs ()))
-        | `Table6 ->
-          print_string
-            (K23_eval.Macro.render (K23_eval.Macro.table6 ~runs:(if quick then 3 else 5) ~jobs ()))
-        | `Fuzz ->
-          let config =
-            { F.Campaign.default_config with c_iters = (if quick then 50 else 300) }
-          in
-          (* wall clock, not Sys.time: CPU time sums across domains *)
-          let t0 = Unix.gettimeofday () in
-          let r = F.Campaign.run ~jobs config in
-          let dt = Unix.gettimeofday () -. t0 in
-          print_string (F.Campaign.render_text r);
-          Printf.printf "throughput: %d oracle runs in %.2fs (%.0f execs/sec, jobs=%d)\n"
-            r.F.Campaign.r_runs dt
-            (float_of_int r.F.Campaign.r_runs /. dt)
-            jobs)
-      exps
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run an evaluation sweep — Table 5 microbenchmarks, Table 6 macrobenchmarks, or the \
-          fuzzer throughput experiment — optionally sharded across domains with $(b,--jobs).")
-    Term.(const run $ exps $ jobs $ quick)
-
 let apps_cmd =
   let run () = List.iter (fun (n, _, _) -> Printf.printf "%s\n" n) Apps.Coreutils.all in
   Cmd.v (Cmd.info "apps" ~doc:"List bundled applications.") Term.(const run $ const ())
@@ -560,6 +503,5 @@ let () =
             offline_cmd;
             pitfalls_cmd;
             fuzz_cmd;
-            bench_cmd;
             apps_cmd;
           ]))

@@ -128,7 +128,7 @@ let offline_tenant w t ~path ~port =
   let stats = I.fresh_stats () in
   Kern.register_library w (K23_core.Offline.image ~stats ());
   let env = I.add_preload [] K23_core.Offline.lib_path in
-  let tracer = Ptracer_enforcer.enforcer () in
+  let tracer = K23_core.Ptracer.preload_enforcer ~lib_path:K23_core.Offline.lib_path () in
   (match World.spawn w ~path ~env ~tracer ~vdso:false () with
   | Error e -> failwith (Printf.sprintf "load: offline spawn failed: %d" e)
   | Ok _ -> ());

@@ -142,7 +142,7 @@ let offline_spec w spec ~path ~port =
     let stats = I.fresh_stats () in
     Kern.register_library w (K23_core.Offline.image ~stats ());
     let env = I.add_preload [] K23_core.Offline.lib_path in
-    let tracer = Ptracer_enforcer.enforcer () in
+    let tracer = K23_core.Ptracer.preload_enforcer ~lib_path:K23_core.Offline.lib_path () in
     (* vdso disabled, matching K23's online environment *)
     (match World.spawn w ~path ~env ~tracer ~vdso:false () with
     | Error e -> failwith (Printf.sprintf "offline server spawn failed: %d" e)

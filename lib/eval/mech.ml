@@ -116,6 +116,21 @@ let needs_offline = function
   | Seccomp | Asc_hook ->
     false
 
+(** The run prologue every measured single-app run shares: K23's
+    offline phase (log [path]'s syscall sites, then seal the logs —
+    the paper's Table 2 / Figure 3) when [mech] needs it, then a
+    rewind of the fault schedule.  The offline phase consumes app
+    syscalls a native run never makes, so the rewind makes every
+    mechanism's measured run start the schedule from tick 0 — which
+    is also what lets a recording replay the same fault dice as the
+    live run it was taken from. *)
+let prologue mech w ~path =
+  if needs_offline mech then begin
+    ignore (K23.offline_run w ~path ());
+    K23.seal_logs w
+  end;
+  Kern.fault_reset w
+
 (** Launch [path] under the mechanism.  Returns the process (and the
     interposition stats for non-native mechanisms). *)
 let launch mech w ~path ?argv ?env () =

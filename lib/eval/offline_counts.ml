@@ -27,7 +27,8 @@ let app_spec_sites spec =
     let stats = K23_interpose.Interpose.fresh_stats () in
     Kern.register_library w (K23_core.Offline.image ~stats ());
     let env = K23_interpose.Interpose.add_preload [] K23_core.Offline.lib_path in
-    (match World.spawn w ~path ~env ~tracer:(Ptracer_enforcer.enforcer ()) () with
+    let tracer = K23_core.Ptracer.preload_enforcer ~lib_path:K23_core.Offline.lib_path () in
+    (match World.spawn w ~path ~env ~tracer () with
     | Error e -> failwith (Printf.sprintf "offline spawn failed: %d" e)
     | Ok _ -> ());
     Macro.wait_for_listener w port;

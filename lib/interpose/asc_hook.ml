@@ -160,7 +160,7 @@ let install_slab (ctx : ctx) (cfg : config) ~region_name sites =
       let slot = base + (i * slot_len) in
       let rel = (slot - site) asr 2 in
       if rel >= b_range || rel < -b_range then
-        ktrace_count w p "asc.unreachable"
+        ktrace_count w "asc.unreachable"
       else begin
         let saved = Memory.get_perm p.mem site in
         Memory.set_perm p.mem ~addr:site ~len:4 ~perm:Memory.perm_rwx;
@@ -188,10 +188,8 @@ let patch_all (ctx : ctx) (cfg : config) =
       match Arm.raw_svc_pattern_sites bytes ~base:r.r_start with
       | [] -> ()
       | sites ->
-        let n = install_slab ctx cfg ~region_name:r.r_name sites in
-        Kern.ktrace_count w p "asc.patch";
-        if w.trace then
-          Printf.eprintf "[asc-hook] %s: %d/%d sites patched\n%!" r.r_name n (List.length sites))
+        ignore (install_slab ctx cfg ~region_name:r.r_name sites);
+        Kern.ktrace_count w "asc.patch")
     (scannable_regions p)
 
 let image ~handler ~stats () : image =

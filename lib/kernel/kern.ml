@@ -125,11 +125,6 @@ and counters = {
   mutable c_vdso : int;  (** vdso fast-path calls that bypassed the kernel *)
   mutable c_sigsys : int;  (** SIGSYS deliveries *)
   c_by_nr : (int, int) Hashtbl.t;
-  c_named : K23_obs.Counters.t;
-      (** named-counter registry extending the flat fields above; only
-          updated while the world's ktrace is enabled.  Reset together
-          with the record (execve), so ["sys.app"] etc. stay in exact
-          parity with [c_app] etc. — see test_obs.ml *)
 }
 
 and tracer = {
@@ -206,7 +201,6 @@ and world = {
   rng : Rng.t;
   quantum : int;
   mutable steps : int;
-  mutable trace : bool;  (** print a line per syscall (debugging) *)
   mutable aslr : bool;
   mutable sud_ever_armed : bool;
   mutable ktrace : K23_obs.Trace.t option;
@@ -281,7 +275,6 @@ let create_world ?(isa = K23_isa.Isa.X86_64) ?(ncores = 12) ?(quantum = 64) ?(se
     rng;
     quantum;
     steps = 0;
-    trace = false;
     aslr;
     sud_ever_armed = false;
     ktrace = None;
@@ -306,7 +299,6 @@ let fresh_counters () =
     c_vdso = 0;
     c_sigsys = 0;
     c_by_nr = Hashtbl.create 32;
-    c_named = K23_obs.Counters.create ();
   }
 
 let new_proc w ~parent ~cmd =
@@ -465,9 +457,8 @@ let charge (w : world) (th : thread) cycles = w.core_cycles.(th.core) <- w.core_
     kernel emits cycle-stamped events (syscall enter/exit with owner,
     signals, SUD, seccomp, ptrace stops, code-write barriers, faults,
     scheduler switches) into a bounded overwrite-oldest ring, and
-    mirrors the legacy counter fields into two named registries: the
-    per-process [counters.c_named] (execve-reset, parity with the flat
-    record) and the world-level lifetime registry in the sink.
+    mirrors the legacy counter fields into the world-level lifetime
+    named registry in the sink ([Trace.counters]).
     [~unbounded:true] swaps the ring for a growing one that never
     drops — required by the recorder, which cannot replay a log with
     holes in it. *)
@@ -478,14 +469,12 @@ let ktrace_enable ?capacity ?unbounded (w : world) =
 
 let ktrace_disable (w : world) = w.ktrace <- None
 
-(** Bump a named counter in both the per-proc and world registries.
-    No-op (one branch) when tracing is off. *)
-let ktrace_count (w : world) (p : proc) name =
+(** Bump a named counter in the world registry.  No-op (one branch)
+    when tracing is off. *)
+let ktrace_count (w : world) name =
   match w.ktrace with
   | None -> ()
-  | Some t ->
-    K23_obs.Counters.incr p.counters.c_named name;
-    K23_obs.Counters.incr t.counters name
+  | Some t -> K23_obs.Counters.incr t.counters name
 
 (** Record a thread-context event.  Callers on hot paths should match
     on [w.ktrace] themselves so the payload is never allocated while
@@ -561,7 +550,7 @@ let cycles_per_sec = 3_200_000_000
     closed-loop or un-backlogged sends). *)
 let note_req_send (w : world) (th : thread) ~conn ~req ~sched =
   let stamp = now w in
-  ktrace_count w th.t_proc "req.send";
+  ktrace_count w "req.send";
   (match w.ktrace with
   | None -> ()
   | Some t ->
@@ -572,7 +561,7 @@ let note_req_send (w : world) (th : thread) ~conn ~req ~sched =
 (** The matching response was fully received (framing complete). *)
 let note_req_recv (w : world) (th : thread) ~conn ~req =
   let stamp = now w in
-  ktrace_count w th.t_proc "req.recv";
+  ktrace_count w "req.recv";
   (match w.ktrace with
   | None -> ()
   | Some t ->
@@ -640,7 +629,7 @@ let proc_dead (p : proc) = p.exit_status <> None || p.term_signal <> None
     dies (all the signals we model are fatal by default). *)
 let deliver_signal (w : world) (th : thread) ~signo ~sysno ~site ~args =
   let p = th.t_proc in
-  ktrace_count w p "signal.deliver";
+  ktrace_count w "signal.deliver";
   (match w.ktrace with
   | None -> ()
   | Some t ->
@@ -699,7 +688,7 @@ let do_sigreturn (w : world) (th : thread) =
   | frame :: rest ->
     charge w th w.cost.sigreturn_extra;
     th.frames <- rest;
-    ktrace_count w th.t_proc "sigreturn";
+    ktrace_count w "sigreturn";
     (match w.ktrace with
     | None -> ()
     | Some t ->
@@ -725,7 +714,7 @@ let faultable nr =
 let is_rw nr = nr = Sysno.read || nr = Sysno.write || nr = Sysno.sendto || nr = Sysno.recvfrom
 
 (** Forget all fault-schedule progress: per-nr ticks and per-thread
-    in-flight state.  {!K23_fuzz.Oracle} calls this between K23's
+    in-flight state.  [Mech.prologue] calls this between K23's
     offline phase and the measured launch, so native and mechanism
     runs start the schedule from tick 0 (the offline phase consumes
     app syscalls a native run never makes). *)
@@ -743,7 +732,7 @@ let fault_reset (w : world) =
     w.procs
 
 let fault_event (w : world) (th : thread) ~nr ~kind =
-  ktrace_count w th.t_proc "fault.inject";
+  ktrace_count w "fault.inject";
   match w.ktrace with
   | None -> ()
   | Some t ->
@@ -809,32 +798,25 @@ let note_syscall (w : world) (th : thread) ~nr ~site ~args =
     (* a re-issue from an interposer's SIGSYS gadget: the application's
        original attempt was already counted when SUD diverted it *)
     c.c_interposer <- c.c_interposer + 1;
-    ktrace_count w p "sys.interposer"
+    ktrace_count w "sys.interposer"
   | Trampoline | App | Libc | Ldso | Vdso | Lib _ | Anon | Stack ->
     (* trampoline-gadget syscalls ARE application syscalls: after a
        site is rewritten, its calls reach the kernel only through the
        trampoline, exactly one kernel entry per application attempt *)
     c.c_app <- c.c_app + 1;
-    ktrace_count w p "sys.app";
+    ktrace_count w "sys.app";
     if not p.startup_done then begin
       c.c_startup <- c.c_startup + 1;
-      ktrace_count w p "sys.startup"
+      ktrace_count w "sys.startup"
     end;
     Hashtbl.replace c.c_by_nr nr (1 + Option.value ~default:0 (Hashtbl.find_opt c.c_by_nr nr));
-    ktrace_count w p ("sys.nr." ^ string_of_int nr));
-  (* one event serves both consumers: the structured ring and the
-     legacy [w.trace] stderr line (same bytes as the historical
-     Printf, now produced by the ktrace renderer) *)
-  match (w.ktrace, w.trace) with
-  | None, false -> ()
-  | kt, tr ->
-    let ev =
-      K23_obs.Event.make ~cycles:w.core_cycles.(th.core) ~pid:p.pid ~tid:th.tid
-        (K23_obs.Event.Syscall_enter
-           { nr; site; owner = owner_to_string owner; args = Array.copy args })
-    in
-    (match kt with Some t -> K23_obs.Trace.push t ev | None -> ());
-    if tr then Printf.eprintf "%s\n%!" (K23_obs.Render.human_event ~namer:Sysno.name ev)
+    ktrace_count w ("sys.nr." ^ string_of_int nr));
+  match w.ktrace with
+  | None -> ()
+  | Some t ->
+    K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:p.pid ~tid:th.tid
+      (K23_obs.Event.Syscall_enter
+         { nr; site; owner = owner_to_string owner; args = Array.copy args })
 
 (** Per-thread selector slot.  Real interposers keep the SUD selector
     byte in TLS so each thread toggles its own; we model TLS with a
@@ -886,7 +868,7 @@ let complete_syscall (w : world) (th : thread) ~nr ~ret =
   match th.t_proc.tracer with
   | Some tr when tr.tr_trace_syscalls && not (proc_dead th.t_proc) ->
     charge w th w.cost.ptrace_stop;
-    ktrace_count w th.t_proc "ptrace.stop";
+    ktrace_count w "ptrace.stop";
     (match w.ktrace with
     | None -> ()
     | Some t ->
@@ -934,7 +916,7 @@ let finish_syscall (w : world) (th : thread) ~nr ~args =
           true
         end
         else begin
-          ktrace_count w th.t_proc "fault.restart";
+          ktrace_count w "fault.restart";
           (match w.ktrace with
           | None -> ()
           | Some t ->
@@ -966,8 +948,8 @@ let handle_syscall (w : world) (th : thread) ~site =
     note_syscall w th ~nr ~site ~args;
     charge w th w.cost.syscall_base;
     p.counters.c_sigsys <- p.counters.c_sigsys + 1;
-    ktrace_count w p "sigsys";
-    ktrace_count w p "sud.block";
+    ktrace_count w "sigsys";
+    ktrace_count w "sud.block";
     (* the diverted attempt's re-issue from interposer code must tick
        the fault schedule as the application call it stands for *)
     if w.faults <> None && faultable nr then Queue.push nr th.fault_divq;
@@ -998,7 +980,7 @@ let handle_syscall (w : world) (th : thread) ~site =
           Bpf.eval_all filters
             { Bpf.nr; arch = K23_isa.Isa.audit_arch w.isa; ip = site; args = Array.copy args }
         in
-        ktrace_count w p "seccomp.eval";
+        ktrace_count w "seccomp.eval";
         (match w.ktrace with
         | None -> ()
         | Some t ->
@@ -1019,7 +1001,7 @@ let handle_syscall (w : world) (th : thread) ~site =
     | Bpf.Errno e -> Regs.set th.regs RAX (-e)
     | Bpf.Trap ->
       p.counters.c_sigsys <- p.counters.c_sigsys + 1;
-      ktrace_count w p "sigsys";
+      ktrace_count w "sigsys";
       if w.faults <> None && faultable nr then Queue.push nr th.fault_divq;
       if Hashtbl.mem p.sig_handlers sigsys then
         deliver_signal w th ~signo:sigsys ~sysno:nr ~site ~args
@@ -1028,7 +1010,7 @@ let handle_syscall (w : world) (th : thread) ~site =
     match p.tracer with
     | Some tr when tr.tr_trace_syscalls ->
       charge w th w.cost.ptrace_stop;
-      ktrace_count w p "ptrace.stop";
+      ktrace_count w "ptrace.stop";
       (match w.ktrace with
       | None -> ()
       | Some t ->
@@ -1043,7 +1025,7 @@ let handle_syscall (w : world) (th : thread) ~site =
       | `Skip ret ->
         Regs.set th.regs RAX ret;
         charge w th w.cost.ptrace_stop;
-        ktrace_count w p "ptrace.stop";
+        ktrace_count w "ptrace.stop";
         (match w.ktrace with
         | None -> ()
         | Some t ->
@@ -1087,25 +1069,13 @@ let switch_address_space (w : world) (th : thread) =
     w.core_resident.(th.core) <- th.t_proc.pid
   end
 
-(** Record a fault-class trap ({!Cpu.trap_name} keys the counter) and
-    reproduce the historical [w.trace] stderr line via the renderer. *)
+(** Record a fault-class trap ({!Cpu.trap_name} keys the counter). *)
 let emit_trap_event (w : world) (th : thread) trap payload =
-  (match w.ktrace with
+  match w.ktrace with
   | None -> ()
   | Some t ->
-    K23_obs.Counters.incr th.t_proc.counters.c_named ("trap." ^ Cpu.trap_name trap);
-    K23_obs.Counters.incr t.counters ("trap." ^ Cpu.trap_name trap));
-  match (w.ktrace, w.trace) with
-  | None, false -> ()
-  | kt, tr ->
-    let ev =
-      K23_obs.Event.make ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid payload
-    in
-    (match kt with Some t -> K23_obs.Trace.push t ev | None -> ());
-    if tr then (
-      match payload with
-      | K23_obs.Event.Fault { access = "BP"; _ } -> () (* int3 was never traced *)
-      | _ -> Printf.eprintf "%s\n%!" (K23_obs.Render.human_event ev))
+    K23_obs.Counters.incr t.counters ("trap." ^ Cpu.trap_name trap);
+    K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid payload
 
 let step_thread (w : world) (th : thread) =
   switch_address_space w th;
@@ -1170,7 +1140,6 @@ let run_slice (w : world) (th : thread) =
        not events) *)
     if w.ktrace_last_tid.(th.core) <> th.tid then begin
       w.ktrace_last_tid.(th.core) <- th.tid;
-      K23_obs.Counters.incr th.t_proc.counters.c_named "sched.switch";
       K23_obs.Counters.incr t.counters "sched.switch";
       K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid
         (K23_obs.Event.Sched_switch { core = th.core })

@@ -140,7 +140,6 @@ let reset (w : world) (cfg : Config.t) =
   w.syscall_impl <- None;
   w.execve_impl <- None;
   w.steps <- 0;
-  w.trace <- false;
   w.aslr <- cfg.aslr;
   w.sud_ever_armed <- false;
   w.ktrace <- None;

@@ -21,18 +21,10 @@ let get t name = match Hashtbl.find_opt t.tbl name with Some r -> !r | None -> 0
 
 let clear t = Hashtbl.reset t.tbl
 
-(* raw hash-order enumeration; never exposed *)
-let fold_unsorted t = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.tbl []
-
 (** All counters, sorted by name at the source — the only enumeration
     order offered, so every consumer (renderers, summaries, reports)
     is deterministic regardless of hash order without sorting
     themselves. *)
-let to_list t = List.sort (fun (a, _) (b, _) -> String.compare a b) (fold_unsorted t)
-
-let to_alist = to_list
-
-(** Merge [src] into [dst] (sum on collision).  Used to aggregate
-    per-process registries into a world summary; addition commutes, so
-    this can skip [to_list]'s sort. *)
-let merge_into ~dst src = List.iter (fun (k, v) -> incr ~by:v dst k) (fold_unsorted src)
+let to_list t =
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

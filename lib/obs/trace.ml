@@ -17,8 +17,8 @@
 type t = {
   ring : Event.t Ring.t;
   counters : Counters.t;
-      (** world-level named counters: lifetime totals, never reset by
-          execve (unlike the per-process registry in [Kern.counters]) *)
+      (** the world's named counters: lifetime totals, never reset by
+          execve (unlike the flat per-process fields in [Kern.counters]) *)
   mutable on_event : (Event.t -> unit) option;
       (** synchronous observer, called after each retained event *)
 }
@@ -31,13 +31,10 @@ let create ?(capacity = default_capacity) ?(unbounded = false) () =
   in
   { ring; counters = Counters.create (); on_event = None }
 
-(** Record an already-built event (lets a caller share one event value
-    between the ring and another consumer, e.g. a debug renderer). *)
-let push t ev =
+let emit t ~cycles ~pid ~tid payload =
+  let ev = Event.make ~cycles ~pid ~tid payload in
   Ring.push t.ring ev;
   match t.on_event with None -> () | Some f -> f ev
-
-let emit t ~cycles ~pid ~tid payload = push t (Event.make ~cycles ~pid ~tid payload)
 
 (** Oldest-first snapshot of the retained events. *)
 let events t = Ring.to_list t.ring

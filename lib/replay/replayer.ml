@@ -29,7 +29,6 @@ module Trace = K23_obs.Trace
 module Trace_diff = K23_obs.Trace_diff
 module Render = K23_obs.Render
 module Mech = K23_eval.Mech
-module K23 = K23_core.K23
 open K23_kernel
 open K23_userland
 
@@ -122,11 +121,7 @@ let replay ?at ?(max_steps = Recorder.default_max_steps)
     ?(register = fun (_ : Kern.world) -> ()) (r : Recording.t) =
   let w = Sim.create_world_cfg r.Recording.rc_cfg in
   register w;
-  if Mech.needs_offline r.Recording.rc_mech then begin
-    ignore (K23.offline_run w ~path:r.Recording.rc_app ());
-    K23.seal_logs w
-  end;
-  Kern.fault_reset w;
+  Mech.prologue r.Recording.rc_mech w ~path:r.Recording.rc_app;
   let t = Kern.ktrace_enable ~unbounded:true w in
   let expected = Array.of_list r.Recording.rc_events in
   let total = Array.length expected in

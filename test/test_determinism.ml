@@ -48,10 +48,7 @@ let test_different_seed_different_layout () =
 let traced_stream ~mech ~seed =
   let w = Sim.create_world ~seed () in
   K23_apps.Coreutils.register_all w;
-  if K23_eval.Mech.needs_offline mech then begin
-    ignore (K23.offline_run w ~path:"/bin/ls" ());
-    K23.seal_logs w
-  end;
+  K23_eval.Mech.prologue mech w ~path:"/bin/ls";
   let t = Kern.ktrace_enable w in
   match K23_eval.Mech.launch mech w ~path:"/bin/ls" () with
   | Error e -> Alcotest.failf "launch: %d" e
@@ -60,7 +57,7 @@ let traced_stream ~mech ~seed =
     let events = K23_obs.Trace.events t in
     let json =
       K23_obs.Render.json_stream ~namer:Sysno.name
-        ~counters:(K23_obs.Counters.to_alist t.K23_obs.Trace.counters)
+        ~counters:(K23_obs.Counters.to_list t.K23_obs.Trace.counters)
         ~dropped:(K23_obs.Trace.dropped t) events
     in
     (events, json)

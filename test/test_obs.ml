@@ -179,13 +179,9 @@ let test_counters () =
   Counters.incr ~by:5 c "b";
   Alcotest.(check int) "incr" 2 (Counters.get c "a");
   Alcotest.(check (list (pair string int))) "sorted alist" [ ("a", 2); ("b", 5) ]
-    (Counters.to_alist c);
-  let d = Counters.create () in
-  Counters.incr ~by:3 d "a";
-  Counters.merge_into ~dst:c d;
-  Alcotest.(check int) "merge sums" 5 (Counters.get c "a");
+    (Counters.to_list c);
   Counters.clear c;
-  Alcotest.(check (list (pair string int))) "clear" [] (Counters.to_alist c)
+  Alcotest.(check (list (pair string int))) "clear" [] (Counters.to_list c)
 
 (* --- trace-diff ------------------------------------------------------ *)
 
@@ -239,39 +235,60 @@ let test_render_json_shape () =
         String.iteri (fun i c -> if c = '\\' && i + 1 < String.length s && s.[i + 1] = '"' then ok := true) s;
         !ok))
 
-(* --- counters parity with the legacy record (Table 3 workloads) ------ *)
+(* --- named counters vs the flat record (Table 3 workloads) ----------- *)
 
-let check_parity (p : Kern.proc) =
-  let named n = Counters.get p.Kern.counters.Kern.c_named n in
-  Alcotest.(check int) "sys.app = c_app" p.Kern.counters.Kern.c_app (named "sys.app");
-  Alcotest.(check int) "sys.interposer = c_interposer" p.Kern.counters.Kern.c_interposer
-    (named "sys.interposer");
-  Alcotest.(check int) "sys.startup = c_startup" p.Kern.counters.Kern.c_startup
-    (named "sys.startup");
-  Alcotest.(check int) "sys.vdso = c_vdso" p.Kern.counters.Kern.c_vdso (named "sys.vdso")
-
+(* The world registry ([Trace.counters]) is the only named store: with
+   the sink enabled after the mechanism's prologue, so K23's offline
+   process is not counted, a single-process PoC's world totals equal
+   its flat per-process fields *)
 let test_counter_parity () =
   List.iter
-    (fun sys ->
+    (fun mech ->
       List.iter
-        (fun (path, argv) ->
-          let _, p, _ = H.run_poc sys ~path ?argv ~ktrace:true () in
-          check_parity p)
+        (fun path ->
+          let w = H.fresh_world () in
+          K23_eval.Mech.prologue mech w ~path;
+          let t = Kern.ktrace_enable w in
+          match K23_eval.Mech.launch mech w ~path () with
+          | Error e -> Alcotest.failf "%s: launch failed (%d)" path e
+          | Ok (p, _) ->
+            (try Kern.run ~max_steps:30_000_000 ~until:(fun () -> Kern.proc_dead p) w
+             with Kern.Deadlock _ -> ());
+            let c = p.Kern.counters in
+            let check name flat =
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s: %s" (K23_eval.Mech.to_string mech) path name)
+                flat (Counters.get t.Trace.counters name)
+            in
+            check "sys.app" c.Kern.c_app;
+            check "sys.interposer" c.Kern.c_interposer;
+            check "sys.startup" c.Kern.c_startup;
+            check "sys.vdso" c.Kern.c_vdso)
         [
-          (K23_pitfalls.Pocs.p1a_path, None);
-          (K23_pitfalls.Pocs.p2b_path, None);
-          (K23_pitfalls.Pocs.p3a_path, None);
-          (K23_pitfalls.Pocs.target_path, None);
+          K23_pitfalls.Pocs.p1b_path;
+          K23_pitfalls.Pocs.p2b_path;
+          K23_pitfalls.Pocs.p3a_path;
+          K23_pitfalls.Pocs.target_path;
         ])
-    [ H.Zpoline; H.Lazypoline; H.K23_sys ]
+    K23_eval.Mech.[ Zpoline_ultra; Lazypoline; K23_ultra ]
 
-(* parity only holds while tracing is on; with tracing off the named
-   registry must stay empty (the zero-overhead contract is also a
-   zero-side-effect contract) *)
+(* the world registry only counts while the sink is on: a run with
+   tracing off mints no sink, and a sink switched off before the run
+   stays empty (the zero-overhead contract is also a zero-side-effect
+   contract) *)
 let test_counters_off_by_default () =
-  let _, p, _ = H.run_poc H.Zpoline ~path:K23_pitfalls.Pocs.target_path () in
-  Alcotest.(check (list (pair string int))) "no named counters without ktrace" []
-    (Counters.to_alist p.Kern.counters.Kern.c_named)
+  let w, _, _ = H.run_poc H.Zpoline ~path:K23_pitfalls.Pocs.target_path () in
+  Alcotest.(check bool) "no sink without ktrace" true (w.Kern.ktrace = None);
+  let w = H.fresh_world () in
+  let t = Kern.ktrace_enable w in
+  Kern.ktrace_disable w;
+  (match H.launch_under H.Zpoline w ~path:K23_pitfalls.Pocs.target_path () with
+  | Error e -> Alcotest.failf "launch failed (%d)" e
+  | Ok (p, _) -> (
+    try Kern.run ~max_steps:30_000_000 ~until:(fun () -> Kern.proc_dead p) w
+    with Kern.Deadlock _ -> ()));
+  Alcotest.(check (list (pair string int))) "no named counters after ktrace_disable" []
+    (Counters.to_list t.Trace.counters)
 
 (* --- Net.Byteq: two-list queue parity -------------------------------- *)
 
@@ -364,7 +381,7 @@ let tests =
       Alcotest.test_case "counter registry" `Quick test_counters;
       Alcotest.test_case "trace-diff verdicts" `Quick test_trace_diff;
       Alcotest.test_case "json stream shape" `Quick test_render_json_shape;
-      Alcotest.test_case "named counters match legacy record (Table 3 apps)" `Slow
+      Alcotest.test_case "world counters match the flat record (Table 3 apps)" `Slow
         test_counter_parity;
       Alcotest.test_case "named counters empty when tracing off" `Quick
         test_counters_off_by_default;
