@@ -21,7 +21,7 @@
       so a heavyweight interposer on one tenant shows up in the
       others' tails.
 
-    Every (row, seed) pair is an independent {!K23_par.Run_spec} task:
+    Every (row, seed) pair is an independent {!K23_par.Pool} task:
     results merge in submission order, so the report is byte-identical
     at any [--jobs]. *)
 
@@ -32,7 +32,6 @@ module I = K23_interpose.Interpose
 module Stats = K23_util.Stats
 module Apps = K23_apps
 module K23 = K23_core.K23
-module Rs = K23_par.Run_spec
 
 type workload = Web | Redis
 
@@ -340,30 +339,14 @@ let assemble rs (outs : (string * tenant_out) list list) =
 
 let seeds runs = List.init runs (fun i -> 4_000 + (i * 17))
 
-(** Run the campaign: one Run-spec task per (row, seed), sharded over
+(** Run the campaign: one pool task per (row, seed), sharded over
     [jobs] domains, merged in submission order — the report (and its
     JSON rendering) is byte-identical whatever [jobs] is. *)
 let campaign ?(quick = false) ?(jobs = 1) ?runs ?requests ?(specs = all_specs) ?faults () =
   let runs = match runs with Some r -> r | None -> if quick then 1 else 3 in
   let requests = match requests with Some r -> r | None -> if quick then 64 else 400 in
   let tasks = List.concat_map (fun rs -> List.map (fun seed -> (rs, seed)) (seeds runs)) specs in
-  let rlist =
-    List.mapi
-      (fun idx (rs, seed) ->
-        (* the per-seed derived plan goes into the Run-spec world key
-           too, so a chaos task never shares a scratch world with a
-           clean one *)
-        let wcfg =
-          match faults with
-          | None -> World.Config.make ~quantum:8 ~seed ()
-          | Some p ->
-            World.Config.make ~quantum:8 ~seed ~faults:{ p with F.fseed = p.F.fseed + seed } ()
-        in
-        Rs.v ~world:wcfg ~mech:rs.rs_mech_label ~index:idx (fun () ->
-            run_one ~requests ~seed ?faults rs))
-      tasks
-  in
-  let outs = List.map snd (Rs.run_all ~jobs rlist) in
+  let outs = K23_par.Pool.map ~jobs (fun (rs, seed) -> run_one ~requests ~seed ?faults rs) tasks in
   (* regroup row-major: spec i owns outs [i*runs, (i+1)*runs) *)
   let rows =
     List.mapi (fun i rs -> assemble rs (List.filteri (fun j _ -> j / runs = i) outs)) specs

@@ -241,25 +241,14 @@ let bench_spec ?(runs = 5) spec =
     (measure_cell ~runs spec None)
     (List.map (fun m -> measure_cell ~runs spec (Some m)) Mech.table6_cols)
 
-(** Table 6, with one run-spec per (spec, column) cell — the native
+(** Table 6, with one pool task per (spec, column) cell — the native
     column included.  Cells come back in submission order whatever
     [jobs] is and the fold into rows is the same [assemble_row] the
     sequential path uses, so the rendered table is identical. *)
 let table6 ?(runs = 5) ?(specs = all_specs) ?(jobs = 1) () =
-  let module Rs = K23_par.Run_spec in
   let cols = None :: List.map Option.some Mech.table6_cols in
-  let cell_world = K23_kernel.World.Config.make ~quantum:8 ~seed:2_000 () in
   let tasks = List.concat_map (fun spec -> List.map (fun m -> (spec, m)) cols) specs in
-  let rs =
-    List.mapi
-      (fun idx (spec, m) ->
-        Rs.v ~world:cell_world
-          ~mech:(match m with None -> "native" | Some m -> Mech.to_string m)
-          ~index:idx
-          (fun () -> measure_cell ~runs spec m))
-      tasks
-  in
-  let cells = List.map snd (Rs.run_all ~jobs rs) in
+  let cells = K23_par.Pool.map ~jobs (fun (spec, m) -> measure_cell ~runs spec m) tasks in
   (* regroup row-major: spec i owns cells [i*ncols, (i+1)*ncols) *)
   let ncols = List.length cols in
   List.mapi

@@ -86,22 +86,12 @@ let row_of_samples mech samples =
     measured sequentially. *)
 let overhead_row ?(runs = 10) mech = row_of_samples mech (List.init runs (sample ~mech))
 
-(** Table 5, with one run-spec per (row, repetition) pair.  Samples
+(** Table 5, with one pool task per (row, repetition) pair.  Samples
     come back in submission order whatever [jobs] is, so the rendered
     table is byte-identical to the sequential sweep. *)
 let table5 ?(runs = 10) ?(jobs = 1) () =
-  let module Rs = K23_par.Run_spec in
-  let specs =
-    List.concat_map
-      (fun mech ->
-        List.init runs (fun i ->
-            Rs.v
-              ~world:(K23_kernel.World.Config.make ~seed:(run_seed i) ())
-              ~mech:(Mech.to_string mech) ~index:i
-              (fun () -> sample ~mech i)))
-      Mech.table5_rows
-  in
-  let samples = List.map snd (Rs.run_all ~jobs specs) in
+  let tasks = List.concat_map (fun mech -> List.init runs (fun i -> (mech, i))) Mech.table5_rows in
+  let samples = K23_par.Pool.map ~jobs (fun (mech, i) -> sample ~mech i) tasks in
   (* regroup row-major: row i owns samples [i*runs, (i+1)*runs) *)
   List.mapi
     (fun i mech -> row_of_samples mech (List.filteri (fun j _ -> j / runs = i) samples))

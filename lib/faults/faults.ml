@@ -2,7 +2,7 @@
 
     A fault {e plan} is pure data — a seed plus per-channel per-mille
     rates — so it can live inside {!K23_kernel.World.Config} and keep
-    worlds structurally hashable, Run-spec parallel-safe, and
+    worlds pure data, safe to share across the domain pool, and
     byte-identical at any [--jobs].
 
     Decisions are a pure function of [(fseed, nr, tick)] where [tick]

@@ -11,8 +11,8 @@
 
     Iterations are fully independent (each one builds fresh worlds
     from [c_world]), so {!run} shards them across a domain pool when
-    [~jobs] is above 1: one run-spec per iteration, results merged in
-    iteration order, shrinking kept sequential in the merge phase.
+    [~jobs] is above 1: results merged in iteration order, shrinking
+    kept sequential in the merge phase.
     The report is byte-identical whatever [jobs] is — dune runtest
     pins [--jobs 1] against [--jobs 4] on the CLI's JSON output. *)
 
@@ -43,7 +43,7 @@ type config = {
   c_mechs : Mech.t list;
   c_shapes : Gen.shape list;
   c_minimize : bool;  (** shrink each divergence to a minimal repro *)
-  c_world : World.Config.t;  (** recipe for every oracle world (the run-spec key) *)
+  c_world : World.Config.t;  (** recipe for every oracle world *)
   c_max_steps : int;
   c_oracle : oracle_mode;
 }
@@ -157,35 +157,28 @@ let gen_native config i : Gen.prog * Oracle.projected =
     is byte-identical for every value of [jobs] — dune runtest pins
     [--jobs 1] against [--jobs 4] on the CLI's JSON output. *)
 let run ?(on_finding = fun (_ : finding) -> ()) ?(jobs = 1) config =
-  (* phase A: one run-spec per iteration — generate + native column *)
-  let gen_specs =
-    List.init config.c_iters (fun i ->
-        K23_par.Run_spec.v ~world:(iter_world config i) ~mech:"native" ~index:i (fun () ->
-            gen_native config i))
+  (* phase A: one task per iteration — generate + native column *)
+  let natives =
+    Array.of_list (K23_par.Pool.map ~jobs (gen_native config) (List.init config.c_iters Fun.id))
   in
-  let natives = Array.of_list (List.map snd (K23_par.Run_spec.run_all ~jobs gen_specs)) in
-  (* phase B: one run-spec per (iteration × mechanism); [diverges
-     ~native] reuses phase A's projection instead of re-running it *)
+  (* phase B: one task per (iteration × mechanism); [diverges ~native]
+     reuses phase A's projection instead of re-running it *)
   let mechs = Array.of_list config.c_mechs in
   let nmechs = Array.length mechs in
-  let cmp_specs =
-    List.concat
-      (List.init config.c_iters (fun i ->
-           let prog, native = natives.(i) in
-           List.map
-             (fun mech ->
-               K23_par.Run_spec.v ~world:(iter_world config i) ~mech:(Mech.to_string mech)
-                 ~index:i (fun () ->
-                   Oracle.diverges ~cfg:(iter_world config i) ~max_steps:config.c_max_steps
-                     ~native ~mech prog.Gen.items))
-             config.c_mechs))
+  let cmp_tasks =
+    List.concat (List.init config.c_iters (fun i -> List.map (fun mech -> (i, mech)) config.c_mechs))
   in
   (* chunk = one iteration's mechanism row: a single queue claim per
      iteration, and consecutive compares share the domain's scratch
      world while it is cache-hot *)
   let cmp =
     Array.of_list
-      (List.map snd (K23_par.Run_spec.run_all ~jobs ~chunk:(max 1 nmechs) cmp_specs))
+      (K23_par.Pool.map ~jobs ~chunk:(max 1 nmechs)
+         (fun (i, mech) ->
+           let prog, native = natives.(i) in
+           Oracle.diverges ~cfg:(iter_world config i) ~max_steps:config.c_max_steps ~native
+             ~mech prog.Gen.items)
+         cmp_tasks)
   in
   let outs =
     List.init config.c_iters (fun i ->
@@ -259,19 +252,6 @@ let run ?(on_finding = fun (_ : finding) -> ()) ?(jobs = 1) config =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** Deterministic JSON: fixed key order, no timing, no floats. *)
 let render_json (r : report) =
   let buf = Buffer.create 4096 in
@@ -279,10 +259,9 @@ let render_json (r : report) =
   add "{\n";
   add (Printf.sprintf "  \"seed\": %d,\n" r.r_config.c_seed);
   add (Printf.sprintf "  \"iters\": %d,\n" r.r_config.c_iters);
-  (* emitted only off x86 so pre-existing x86 reports stay byte-identical *)
-  (match r.r_config.c_world.World.Config.isa with
-  | K23_isa.Isa.X86_64 -> ()
-  | isa -> add (Printf.sprintf "  \"isa\": \"%s\",\n" (K23_isa.Isa.to_string isa)));
+  List.iter
+    (fun (k, v) -> add (Printf.sprintf "  \"%s\": \"%s\",\n" k v))
+    (K23_isa.Isa.fields r.r_config.c_world.World.Config.isa);
   add
     (Printf.sprintf "  \"faults\": \"%s\",\n"
        (K23_faults.Faults.to_string r.r_config.c_world.World.Config.faults));
@@ -315,7 +294,7 @@ let render_json (r : report) =
            f.f_iter f.f_prog_seed (Mech.to_string f.f_mech)
            (String.concat ", "
               (List.map (fun s -> "\"" ^ Gen.shape_to_string s ^ "\"") f.f_shapes))
-           (json_escape (Oracle.render_divergence f.f_divergence))
+           (K23_obs.Render.json_escape (Oracle.render_divergence f.f_divergence))
            (match f.f_min_insns with
            | None -> ""
            | Some n -> Printf.sprintf ", \"min_insns\": %d" n)

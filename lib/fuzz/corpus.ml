@@ -23,7 +23,9 @@ type entry = {
   e_items : Gen.items;
 }
 
-exception Parse_error of string
+module Header = K23_util.Header
+
+let fail = Header.fail
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
@@ -33,7 +35,7 @@ let reg_to_s = Reg.to_string
 let reg_of_s s =
   match List.find_opt (fun r -> Reg.to_string r = s) Reg.all with
   | Some r -> r
-  | None -> raise (Parse_error ("bad register: " ^ s))
+  | None -> fail "bad register: %s" s
 
 let cond_to_s : Insn.cond -> string = function
   | Z -> "z"
@@ -50,7 +52,7 @@ let cond_of_s : string -> Insn.cond = function
   | "ge" -> GE
   | "le" -> LE
   | "gt" -> GT
-  | s -> raise (Parse_error ("bad condition: " ^ s))
+  | s -> fail "bad condition: %s" s
 
 let insn_to_line (i : Insn.t) =
   match i with
@@ -96,11 +98,11 @@ let hex_of_bytes b =
   Buffer.contents buf
 
 let bytes_of_hex s =
-  if String.length s mod 2 <> 0 then raise (Parse_error "odd hex length");
+  if String.length s mod 2 <> 0 then fail "odd hex length";
   Bytes.init (String.length s / 2) (fun i ->
       match int_of_string_opt ("0x" ^ String.sub s (2 * i) 2) with
       | Some v -> Char.chr v
-      | None -> raise (Parse_error ("bad hex: " ^ s)))
+      | None -> fail "bad hex: %s" s)
 
 let item_to_line (it : Asm.item) =
   match it with
@@ -121,10 +123,7 @@ let item_to_line (it : Asm.item) =
   | Asm.Section `Data -> "section data"
   | Asm.Align n -> Printf.sprintf "align %d" n
 
-let num s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> raise (Parse_error ("bad number: " ^ s))
+let num = Header.int "number"
 
 let item_of_line line : Asm.item =
   let line = String.trim line in
@@ -138,7 +137,7 @@ let item_of_line line : Asm.item =
   | "label", [ l ] -> Asm.Label l
   | "blob", [ h ] -> Asm.Blob (bytes_of_hex h)
   | "zeros", [ n ] -> Asm.Zeros (num n)
-  | "strz", _ -> Asm.Strz (Scanf.unescaped rest)
+  | "strz", _ -> Asm.Strz (Header.unescape "strz" rest)
   | "quad", [ n ] -> Asm.Quad (num n)
   | "j", [ l ] -> Asm.J l
   | "jc", [ c; l ] -> Asm.Jc (cond_of_s c, l)
@@ -186,7 +185,7 @@ let item_of_line line : Asm.item =
   | "jcc", [ c; d ] -> Asm.I (Jcc (cond_of_s c, num d))
   | "jmp_reg", [ r ] -> Asm.I (Jmp_reg (reg_of_s r))
   | "call_reg", [ r ] -> Asm.I (Call_reg (reg_of_s r))
-  | _ -> raise (Parse_error ("bad item line: " ^ line))
+  | _ -> fail "bad item line: %s" line
 
 
 (* --- the AArch64 item codec ----------------------------------------
@@ -254,7 +253,7 @@ let arm_item_of_line line : A.item =
   | "label", [ l ] -> A.Label l
   | "blob", [ h ] -> A.Blob (bytes_of_hex h)
   | "zeros", [ n ] -> A.Zeros (num n)
-  | "strz", _ -> A.Strz (Scanf.unescaped rest)
+  | "strz", _ -> A.Strz (Header.unescape "strz" rest)
   | "quad", [ n ] -> A.Quad (num n)
   | "j", [ l ] -> A.J l
   | "jc", [ c; l ] -> A.Jc (cond_of_s c, l)
@@ -291,74 +290,49 @@ let arm_item_of_line line : A.item =
   | "strb", [ t; n; o ] -> A.I (Arm.Strb (num t, num n, num o))
   | "vcall", [ n ] -> A.I (Arm.Vcall (num n))
   | "brk", [ n ] -> A.I (Arm.Brk (num n))
-  | _ -> raise (Parse_error ("bad arm item line: " ^ line))
+  | _ -> fail "bad arm item line: %s" line
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
 
 let to_string (e : entry) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "# k23_fuzz minimized reproducer\n";
-  Buffer.add_string buf (Printf.sprintf "mech: %s\n" (Mech.to_string e.e_mech));
-  (* emitted only for non-x86 entries: existing x86 corpus files stay
-     byte-identical, and old readers ignore unknown header keys *)
-  (match e.e_items with
-  | Gen.X86 _ -> ()
-  | Gen.A64 _ -> Buffer.add_string buf (Printf.sprintf "isa: %s\n" (K23_isa.Isa.to_string K23_isa.Isa.Arm64)));
-  Buffer.add_string buf (Printf.sprintf "seed: %d\n" e.e_seed);
-  Buffer.add_string buf (Printf.sprintf "expect: %s\n" e.e_expect);
-  (match e.e_faults with
-  | None -> ()
-  | Some p ->
-    Buffer.add_string buf (Printf.sprintf "faults: %s\n" (K23_faults.Faults.to_string p)));
-  Buffer.add_string buf "---\n";
-  let lines =
-    match e.e_items with
+  Header.to_string ~magic:"# k23_fuzz minimized reproducer"
+    ((("mech", Mech.to_string e.e_mech) :: K23_isa.Isa.fields (Gen.items_isa e.e_items))
+    @ [ ("seed", string_of_int e.e_seed); ("expect", e.e_expect) ]
+    @ Option.fold ~none:[] ~some:(fun p -> [ ("faults", K23_faults.Faults.to_string p) ]) e.e_faults)
+    (match e.e_items with
     | Gen.X86 its -> List.map item_to_line its
-    | Gen.A64 its -> List.map arm_item_to_line its
-  in
-  List.iter
-    (fun l ->
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n')
-    lines;
-  Buffer.contents buf
+    | Gen.A64 its -> List.map arm_item_to_line its)
+
+(* The [isa:] key picks the body codec: until the body is read, the
+   entry's item list is an empty one of that ISA. *)
+let fields =
+  [
+    ( "mech",
+      fun e v ->
+        match Mech.of_string v with
+        | Some m -> { e with e_mech = m }
+        | None -> fail "unknown mech: %s" v );
+    ( "isa",
+      fun e v ->
+        match K23_isa.Isa.of_string v with
+        | Some K23_isa.Isa.X86_64 -> { e with e_items = Gen.X86 [] }
+        | Some K23_isa.Isa.Arm64 -> { e with e_items = Gen.A64 [] }
+        | None -> fail "unknown isa: %s" v );
+    ("seed", fun e v -> { e with e_seed = num v });
+    ("expect", fun e v -> { e with e_expect = v });
+    ( "faults",
+      fun e v ->
+        match K23_faults.Faults.of_string v with
+        | Some p -> { e with e_faults = Some p }
+        | None -> fail "bad fault plan: %s" v );
+  ]
 
 let of_string s : entry =
-  let lines = String.split_on_char '\n' s in
-  let mech = ref None and seed = ref 0 and expect = ref "" and faults = ref None in
-  let isa = ref K23_isa.Isa.X86_64 in
-  let rec header = function
-    | [] -> raise (Parse_error "missing --- separator")
-    | l :: rest -> (
-      let l = String.trim l in
-      if l = "---" then rest
-      else if l = "" || l.[0] = '#' then header rest
-      else
-        match String.index_opt l ':' with
-        | None -> raise (Parse_error ("bad header line: " ^ l))
-        | Some i ->
-          let k = String.sub l 0 i
-          and v = String.trim (String.sub l (i + 1) (String.length l - i - 1)) in
-          (match k with
-          | "mech" -> (
-            match Mech.of_string v with
-            | Some m -> mech := Some m
-            | None -> raise (Parse_error ("unknown mech: " ^ v)))
-          | "seed" -> seed := num v
-          | "isa" -> (
-            match K23_isa.Isa.of_string v with
-            | Some i -> isa := i
-            | None -> raise (Parse_error ("unknown isa: " ^ v)))
-          | "expect" -> expect := v
-          | "faults" -> (
-            match K23_faults.Faults.of_string v with
-            | Some p -> faults := Some p
-            | None -> raise (Parse_error ("bad fault plan: " ^ v)))
-          | _ -> () (* forward-compatible: ignore unknown keys *));
-          header rest)
+  let init =
+    { e_mech = Mech.Native; e_seed = 0; e_expect = ""; e_faults = None; e_items = Gen.X86 [] }
   in
-  let body = header lines in
+  let e, body = Header.fold ~required:[ "mech" ] fields init (String.split_on_char '\n' s) in
   let body =
     List.filter_map
       (fun l ->
@@ -366,15 +340,9 @@ let of_string s : entry =
         if l = "" || l.[0] = '#' then None else Some l)
       body
   in
-  let items =
-    match !isa with
-    | K23_isa.Isa.X86_64 -> Gen.X86 (List.map item_of_line body)
-    | K23_isa.Isa.Arm64 -> Gen.A64 (List.map arm_item_of_line body)
-  in
-  match !mech with
-  | None -> raise (Parse_error "missing mech: header")
-  | Some m ->
-    { e_mech = m; e_seed = !seed; e_expect = !expect; e_faults = !faults; e_items = items }
+  match e.e_items with
+  | Gen.X86 _ -> { e with e_items = Gen.X86 (List.map item_of_line body) }
+  | Gen.A64 _ -> { e with e_items = Gen.A64 (List.map arm_item_of_line body) }
 
 let save ~path (e : entry) =
   let oc = open_out path in

@@ -1,9 +1,9 @@
 (** The ISA as a first-class, pure-data parameter.
 
-    Everything that keys worlds — [World.Config], Run-spec sharding,
-    corpus entries, recordings — carries one of these.  It is a plain
-    variant (no functions, no modules) so structural equality,
-    [Hashtbl.hash] and the text wire formats keep working unchanged;
+    Everything that describes a world — [World.Config], corpus
+    entries, recordings — carries one of these.  It is a plain variant
+    (no functions, no modules) so structural equality and the text
+    wire formats keep working unchanged;
     behavioural dispatch happens with [match] at the few ABI seams
     (fetch/step, syscall register convention, signal frame layout)
     rather than through a first-class module.
@@ -26,6 +26,11 @@ let of_string = function
   | _ -> None
 
 let equal (a : t) (b : t) = a = b
+
+(** The [("isa", name)] field that the text artifacts (corpus repros,
+    recordings, campaign reports) carry: empty on x86, so every file
+    and report written before the ARM backend stays byte-identical. *)
+let fields = function X86_64 -> [] | isa -> [ ("isa", to_string isa) ]
 
 (** Width in bytes of one instruction slot for fixed-width ISAs; the
     minimum insn length for x86 (used only for sweep invariants). *)

@@ -6,12 +6,11 @@ open Kern
 
 (** The complete recipe for one world, as a plain record.
 
-    This is the unit of work of the domain pool ({!K23_par}): every
-    run-spec embeds a [Config.t], two equal configs (plus equal
-    programs) produce byte-identical worlds, and the record is
-    structurally hashable/serialisable — so it doubles as the task
-    descriptor that campaign reports and caches key on.  Prefer
-    {!create_cfg} over the legacy optional-argument {!create}. *)
+    Every field is immutable data, and two equal configs (plus equal
+    programs) produce byte-identical worlds — which is what lets the
+    domain pool ({!K23_par}) run tasks that each build their own world
+    from one.  Prefer {!create_cfg} over the legacy optional-argument
+    {!create}. *)
 module Config = struct
   type t = {
     isa : K23_isa.Isa.t;  (** instruction set of every image this world loads *)
@@ -45,26 +44,6 @@ module Config = struct
       ?(ktrace = default.ktrace) ?(predecode = default.predecode) ?(faults = default.faults) () =
     { isa; ncores; quantum; seed; aslr; cost; ktrace; predecode; faults }
 
-  (* every field is immutable ints/bools, so structural equality and
-     the polymorphic hash are exact *)
-  let equal (a : t) (b : t) = a = b
-  let hash (t : t) = Hashtbl.hash t
-
-  (** Deterministic one-line key, stable across processes (unlike
-      [hash] it is readable in reports and cache file names). *)
-  let to_string c =
-    let m = c.cost in
-    (* the isa prefix appears only for non-x86 configs so that every
-       pre-existing x86 key (cache file names, reports) is unchanged *)
-    (match c.isa with
-    | K23_isa.Isa.X86_64 -> ""
-    | isa -> Printf.sprintf "isa=%s " (K23_isa.Isa.to_string isa))
-    ^ Printf.sprintf
-        "ncores=%d quantum=%d seed=%d aslr=%b ktrace=%b predecode=%b \
-         cost=%d,%d,%d,%d,%d,%d,%d,%d %s"
-        c.ncores c.quantum c.seed c.aslr c.ktrace c.predecode m.insn m.nop m.syscall_base
-        m.sud_armed_extra m.sigsys_delivery m.sigreturn_extra m.ptrace_stop m.ptrace_mem_op
-        (K23_faults.Faults.to_string c.faults)
 end
 
 (* The wiring shared by {!create_cfg} and {!reset}: dispatch hooks,

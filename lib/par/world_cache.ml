@@ -1,7 +1,7 @@
 (** Per-domain scratch-world cache.
 
     Building a fully wired world is cheap but not free, and under the
-    domain pool every run-spec used to pay it.  This cache keeps {e one}
+    domain pool every task used to pay it.  This cache keeps {e one}
     world per domain (via [Domain.DLS], so no locking and no
     cross-domain sharing — the seed-determinism audit of DESIGN.md §4f
     stays intact) and recycles it between runs with an in-place reset

@@ -11,11 +11,11 @@
     replay input {e and} the oracle: the replayer re-drives a fresh
     world from the header and diffs the live stream against the body.
 
-    The wire format follows [Corpus]: `key: value` header lines, a
-    `---` separator, then one event per line.  Unknown header keys are
-    skipped (forward compatibility), [to_string]/[of_string] are exact
-    inverses, and the `events:` header pins the body length so a
-    truncated file is a parse error, not a silently-short replay. *)
+    The wire format is the {!K23_util.Header} codec shared with
+    [Corpus]: `key: value` header lines, a `---` separator, then one
+    event per line.  [to_string]/[of_string] are exact inverses, and
+    the `events:` header pins the body length so a truncated file is a
+    parse error, not a silently-short replay. *)
 
 module Event = K23_obs.Event
 module Mech = K23_eval.Mech
@@ -23,10 +23,9 @@ module World = K23_kernel.World
 module Kern = K23_kernel.Kern
 module Faults = K23_faults.Faults
 module Cost = K23_machine.Cost
+module Header = K23_util.Header
 
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
+let fail = Header.fail
 
 type fate = Exit of int | Killed of int | Running
 
@@ -102,20 +101,13 @@ let event_to_line (e : Event.t) =
   | Event.Annot s -> pr " annot %s" (String.escaped s));
   Buffer.contents b
 
-let int_field what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail "bad %s field: %S" what s
-
-let str_field what toks =
-  let s = String.concat " " toks in
-  try Scanf.unescaped s with Scanf.Scan_failure _ | Failure _ -> fail "bad %s string: %S" what s
+let str_field what toks = Header.unescape what (String.concat " " toks)
 
 let event_of_line lineno line =
   let bad what = fail "event line %d: %s (%S)" lineno what line in
   match String.split_on_char ' ' line with
   | cy :: pid :: tid :: tag :: rest ->
-    let i = int_field in
+    let i = Header.int in
     let payload =
       match (tag, rest) with
       | "enter", nr :: site :: argc :: rest ->
@@ -162,144 +154,131 @@ let event_of_line lineno line =
       | _ -> bad ("unknown event tag " ^ tag)
     in
     {
-      Event.ev_cycles = int_field "cycles" cy;
-      ev_pid = int_field "pid" pid;
-      ev_tid = int_field "tid" tid;
+      Event.ev_cycles = i "cycles" cy;
+      ev_pid = i "pid" pid;
+      ev_tid = i "tid" tid;
       ev_payload = payload;
     }
   | _ -> bad "malformed event line"
 
 (* ------------------------------------------------------------------ *)
-(* Header codec                                                        *)
-
-let cost_to_string (m : Cost.model) =
-  Printf.sprintf "%d,%d,%d,%d,%d,%d,%d,%d" m.Cost.insn m.Cost.nop m.Cost.syscall_base
-    m.Cost.sud_armed_extra m.Cost.sigsys_delivery m.Cost.sigreturn_extra m.Cost.ptrace_stop
-    m.Cost.ptrace_mem_op
-
-let cost_of_string s =
-  match String.split_on_char ',' s |> List.map int_of_string_opt with
-  | [
-   Some insn; Some nop; Some syscall_base; Some sud_armed_extra; Some sigsys_delivery;
-   Some sigreturn_extra; Some ptrace_stop; Some ptrace_mem_op;
-  ] ->
-    {
-      Cost.insn; nop; syscall_base; sud_armed_extra; sigsys_delivery; sigreturn_extra;
-      ptrace_stop; ptrace_mem_op;
-    }
-  | _ -> fail "bad cost model: %S" s
+(* Files as text                                                       *)
 
 let magic = "# k23 recording v1"
 
+(* argv entries are space-separated tokens: escape embedded spaces as
+   the decimal escape \032 (String.escaped leaves spaces alone,
+   Scanf.unescaped reverses either form) *)
+let escape_token s = String.concat "\\032" (String.split_on_char ' ' (String.escaped s))
+
 let to_string r =
-  let b = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pr "%s\n" magic;
-  pr "app: %s\n" r.rc_app;
-  (* argv entries are space-separated tokens: escape embedded spaces
-     as the decimal escape \032 (String.escaped leaves spaces alone,
-     Scanf.unescaped reverses either form) *)
-  let escape_token s = String.concat "\\032" (String.split_on_char ' ' (String.escaped s)) in
-  if r.rc_argv <> [] then pr "argv: %s\n" (String.concat " " (List.map escape_token r.rc_argv));
-  pr "mech: %s\n" (Mech.to_string r.rc_mech);
+  let open World.Config in
   let c = r.rc_cfg in
-  (* emitted only for non-x86 recordings: pre-ISA files stay
-     byte-identical and old readers skip the unknown key *)
-  (match c.World.Config.isa with
-  | K23_isa.Isa.X86_64 -> ()
-  | isa -> pr "isa: %s\n" (K23_isa.Isa.to_string isa));
-  pr "ncores: %d\n" c.World.Config.ncores;
-  pr "quantum: %d\n" c.World.Config.quantum;
-  pr "seed: %d\n" c.World.Config.seed;
-  pr "aslr: %d\n" (Bool.to_int c.World.Config.aslr);
-  pr "predecode: %d\n" (Bool.to_int c.World.Config.predecode);
-  pr "cost: %s\n" (cost_to_string c.World.Config.cost);
-  pr "faults: %s\n" (Faults.to_string c.World.Config.faults);
-  pr "root: %d\n" r.rc_root;
-  pr "console: %s\n" (String.escaped r.rc_console);
-  List.iter (fun (pid, f) -> pr "fate: %d %s\n" pid (fate_to_string f)) r.rc_fates;
-  pr "events: %d\n" (List.length r.rc_events);
-  pr "---\n";
-  List.iter (fun e -> pr "%s\n" (event_to_line e)) r.rc_events;
-  Buffer.contents b
+  let int = string_of_int and flag b = string_of_int (Bool.to_int b) in
+  let argv =
+    if r.rc_argv = [] then [] else [ ("argv", String.concat " " (List.map escape_token r.rc_argv)) ]
+  in
+  let fates =
+    List.map (fun (pid, f) -> ("fate", Printf.sprintf "%d %s" pid (fate_to_string f))) r.rc_fates
+  in
+  Header.to_string ~magic
+    ([ ("app", r.rc_app) ] @ argv
+    @ [ ("mech", Mech.to_string r.rc_mech) ]
+    @ K23_isa.Isa.fields c.isa
+    @ [
+        ("ncores", int c.ncores);
+        ("quantum", int c.quantum);
+        ("seed", int c.seed);
+        ("aslr", flag c.aslr);
+        ("predecode", flag c.predecode);
+        ("cost", Cost.to_string c.cost);
+        ("faults", Faults.to_string c.faults);
+        ("root", int r.rc_root);
+        ("console", String.escaped r.rc_console);
+      ]
+    @ fates
+    @ [ ("events", int (List.length r.rc_events)) ])
+    (List.map event_to_line r.rc_events)
+
+(* Header handlers fold into the recording and the [events:] count,
+   which pins the body length. *)
+let rc f (r, n) v = (f r v, n)
+let cfg f = rc (fun r v -> { r with rc_cfg = f r.rc_cfg v })
+
+let fields =
+  let open World.Config in
+  [
+    ("app", rc (fun r v -> { r with rc_app = v }));
+    ( "argv",
+      rc (fun r v ->
+          { r with rc_argv = List.map (Header.unescape "argv") (String.split_on_char ' ' v) }) );
+    ( "mech",
+      rc (fun r v ->
+          match Mech.of_string v with
+          | Some m -> { r with rc_mech = m }
+          | None -> fail "unknown mechanism: %S" v) );
+    ( "isa",
+      cfg (fun c v ->
+          match K23_isa.Isa.of_string v with
+          | Some isa -> { c with isa }
+          | None -> fail "unknown isa: %S" v) );
+    ("ncores", cfg (fun c v -> { c with ncores = Header.int "ncores" v }));
+    ("quantum", cfg (fun c v -> { c with quantum = Header.int "quantum" v }));
+    ("seed", cfg (fun c v -> { c with seed = Header.int "seed" v }));
+    ("aslr", cfg (fun c v -> { c with aslr = Header.int "aslr" v <> 0 }));
+    ("predecode", cfg (fun c v -> { c with predecode = Header.int "predecode" v <> 0 }));
+    ( "cost",
+      cfg (fun c v ->
+          match Cost.of_string v with
+          | Some cost -> { c with cost }
+          | None -> fail "bad cost model: %S" v) );
+    ( "faults",
+      cfg (fun c v ->
+          match Faults.of_string v with
+          | Some faults -> { c with faults }
+          | None -> fail "bad fault plan: %S" v) );
+    ("root", rc (fun r v -> { r with rc_root = Header.int "root" v }));
+    ("console", rc (fun r v -> { r with rc_console = Header.unescape "console" v }));
+    ( "fate",
+      rc (fun r v ->
+          let fate =
+            match String.split_on_char ' ' v with
+            | [ pid; "exit"; n ] -> (Header.int "pid" pid, Exit (Header.int "status" n))
+            | [ pid; "killed"; n ] -> (Header.int "pid" pid, Killed (Header.int "signal" n))
+            | [ pid; "running" ] -> (Header.int "pid" pid, Running)
+            | _ -> fail "bad fate line: %S" v
+          in
+          { r with rc_fates = r.rc_fates @ [ fate ] }) );
+    ("events", fun (r, _) v -> (r, Some (Header.int "events" v)));
+  ]
 
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  match lines with
+  match String.split_on_char '\n' s with
   | first :: rest when first = magic ->
-    let app = ref None and argv = ref [] and mech = ref None in
-    let cfg = ref { World.Config.default with World.Config.ktrace = false } in
-    let root = ref None and console = ref "" and fates = ref [] and nevents = ref None in
-    let rec header = function
-      | [] -> fail "missing --- separator"
-      | "---" :: body -> body
-      | line :: restl ->
-        (match String.index_opt line ':' with
-        | None -> if String.trim line <> "" then fail "bad header line: %S" line
-        | Some ci ->
-          let key = String.sub line 0 ci in
-          let v =
-            let raw = String.sub line (ci + 1) (String.length line - ci - 1) in
-            if String.length raw > 0 && raw.[0] = ' ' then String.sub raw 1 (String.length raw - 1)
-            else raw
-          in
-          let iv what = int_field what v in
-          (match key with
-          | "app" -> app := Some v
-          | "argv" ->
-            argv := List.map (fun a -> str_field "argv" [ a ]) (String.split_on_char ' ' v)
-          | "mech" -> (
-            match Mech.of_string v with
-            | Some m -> mech := Some m
-            | None -> fail "unknown mechanism: %S" v)
-          | "isa" -> (
-            match K23_isa.Isa.of_string v with
-            | Some isa -> cfg := { !cfg with World.Config.isa = isa }
-            | None -> fail "unknown isa: %S" v)
-          | "ncores" -> cfg := { !cfg with World.Config.ncores = iv "ncores" }
-          | "quantum" -> cfg := { !cfg with World.Config.quantum = iv "quantum" }
-          | "seed" -> cfg := { !cfg with World.Config.seed = iv "seed" }
-          | "aslr" -> cfg := { !cfg with World.Config.aslr = iv "aslr" <> 0 }
-          | "predecode" -> cfg := { !cfg with World.Config.predecode = iv "predecode" <> 0 }
-          | "cost" -> cfg := { !cfg with World.Config.cost = cost_of_string v }
-          | "faults" -> (
-            match Faults.of_string v with
-            | Some p -> cfg := { !cfg with World.Config.faults = p }
-            | None -> fail "bad fault plan: %S" v)
-          | "root" -> root := Some (iv "root")
-          | "console" -> console := str_field "console" [ v ]
-          | "fate" -> (
-            match String.split_on_char ' ' v with
-            | [ pid; "exit"; n ] -> fates := (int_field "pid" pid, Exit (int_field "status" n)) :: !fates
-            | [ pid; "killed"; n ] ->
-              fates := (int_field "pid" pid, Killed (int_field "signal" n)) :: !fates
-            | [ pid; "running" ] -> fates := (int_field "pid" pid, Running) :: !fates
-            | _ -> fail "bad fate line: %S" v)
-          | "events" -> nevents := Some (iv "events")
-          | _ -> () (* unknown header keys are skipped: forward compatibility *)));
-        header restl
+    let init =
+      {
+        rc_app = "";
+        rc_argv = [];
+        rc_mech = Mech.Native;
+        rc_cfg = { World.Config.default with World.Config.ktrace = false };
+        rc_root = 0;
+        rc_console = "";
+        rc_fates = [];
+        rc_events = [];
+      }
     in
-    let body = header rest in
+    let (r, nevents), body =
+      Header.fold ~required:[ "app"; "mech"; "root" ] fields (init, None) rest
+    in
     let events =
-      List.filteri (fun _ l -> String.trim l <> "") body
-      |> List.mapi (fun i l -> event_of_line (i + 1) l)
+      List.filter (fun l -> String.trim l <> "") body |> List.mapi (fun i l -> event_of_line (i + 1) l)
     in
-    (match !nevents with
+    (match nevents with
     | Some n when n <> List.length events ->
       fail "truncated recording: header says %d events, body has %d" n (List.length events)
     | _ -> ());
-    let req what = function Some x -> x | None -> fail "missing %s header" what in
-    {
-      rc_app = req "app" !app;
-      rc_argv = !argv;
-      rc_mech = req "mech" !mech;
-      rc_cfg = !cfg;
-      rc_root = req "root" !root;
-      rc_console = !console;
-      rc_fates = List.rev !fates;
-      rc_events = events;
-    }
-  | first :: _ when String.length first >= 15 && String.sub first 0 15 = "# k23 recording" ->
+    { r with rc_events = events }
+  | first :: _ when String.starts_with ~prefix:"# k23 recording" first ->
     fail "unsupported recording version: %S" first
   | _ -> fail "not a k23 recording (missing %S header)" magic
 

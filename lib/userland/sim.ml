@@ -12,7 +12,7 @@ let populate w =
 
 (** A wired world with libc, the stub libraries, and the files the
     startup sequence touches, built from a {!World.Config.t} — the
-    run-spec form used by the domain pool ({!K23_par}). *)
+    form the domain pool's scratch-world cache ({!K23_par}) builds. *)
 let create_world_cfg cfg =
   let w = World.create_cfg cfg in
   populate w;

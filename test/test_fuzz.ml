@@ -103,27 +103,31 @@ let test_shrink_minimizes () =
     | Some _ -> ()
     | None -> Alcotest.fail "minimized repro no longer diverges")
 
-(* corpus serialisation round-trips exactly *)
+(* corpus serialisation round-trips exactly — an [expect:] value
+   included, whose console divergence may end in a space or a tab *)
 let test_corpus_roundtrip () =
   let rng = Rng.create ~seed:7 in
   let prog = Gen.generate ~shapes:Gen.all_shapes rng in
-  let e =
-    {
-      Corpus.e_mech = Mech.Zpoline_default;
-      e_seed = 7;
-      e_expect = "pid 0 record 1: native=a mech=b";
-      e_faults = Some (K23_faults.Faults.chaos ~fseed:41 ());
-      e_items = prog.Gen.items;
-    }
-  in
-  let e' = Corpus.of_string (Corpus.to_string e) in
-  Alcotest.(check bool) "items round-trip" true (e.Corpus.e_items = e'.Corpus.e_items);
-  Alcotest.(check string) "expect round-trips" e.Corpus.e_expect e'.Corpus.e_expect;
-  Alcotest.(check int) "seed round-trips" e.Corpus.e_seed e'.Corpus.e_seed;
-  Alcotest.(check string) "mech round-trips"
-    (Mech.to_string e.Corpus.e_mech)
-    (Mech.to_string e'.Corpus.e_mech);
-  Alcotest.(check bool) "fault plan round-trips" true (e.Corpus.e_faults = e'.Corpus.e_faults)
+  List.iter
+    (fun expect ->
+      let e =
+        {
+          Corpus.e_mech = Mech.Zpoline_default;
+          e_seed = 7;
+          e_expect = expect;
+          e_faults = Some (K23_faults.Faults.chaos ~fseed:41 ());
+          e_items = prog.Gen.items;
+        }
+      in
+      let e' = Corpus.of_string (Corpus.to_string e) in
+      Alcotest.(check bool) "items round-trip" true (e.Corpus.e_items = e'.Corpus.e_items);
+      Alcotest.(check string) "expect round-trips" e.Corpus.e_expect e'.Corpus.e_expect;
+      Alcotest.(check int) "seed round-trips" e.Corpus.e_seed e'.Corpus.e_seed;
+      Alcotest.(check string) "mech round-trips"
+        (Mech.to_string e.Corpus.e_mech)
+        (Mech.to_string e'.Corpus.e_mech);
+      Alcotest.(check bool) "fault plan round-trips" true (e.Corpus.e_faults = e'.Corpus.e_faults))
+    [ "pid 0 record 1: native=a mech=b"; "[zpoline-default] console: native=ab\t mech=a " ]
 
 (* the ARM smoke invariant: the same conformance-safe mix, generated
    by the AArch64 backend, conforms under the ARM mechanism column *)

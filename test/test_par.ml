@@ -1,10 +1,8 @@
-(* Domain pool and Run-spec API: results in input order whatever the
-   scheduling, deterministic exception choice, and the headline
-   guarantee — a parallel fuzz campaign renders byte-identical JSON. *)
+(* Domain pool: results in input order whatever the scheduling,
+   deterministic exception choice, and the headline guarantee — a
+   parallel fuzz campaign renders byte-identical JSON. *)
 
 module Pool = K23_par.Pool
-module Rs = K23_par.Run_spec
-module Config = K23_kernel.World.Config
 module Campaign = K23_fuzz.Campaign
 
 let squares n = List.init n (fun i -> i * i)
@@ -82,37 +80,6 @@ let test_exception_lowest_index () =
   | _ -> Alcotest.fail "chunked: expected an exception"
   | exception Boom n -> Alcotest.(check int) "chunked lowest index" 3 n
 
-let test_run_spec_keys () =
-  let specs =
-    List.init 5 (fun i ->
-        Rs.v ~world:(Config.make ~seed:(100 + i) ()) ~mech:"native" ~index:i (fun () -> i * 3))
-  in
-  let out = Rs.run_all ~jobs:3 specs in
-  List.iteri
-    (fun i (k, v) ->
-      Alcotest.(check int) "index" i k.Rs.k_index;
-      Alcotest.(check int) "seed" (100 + i) k.Rs.k_world.Config.seed;
-      Alcotest.(check int) "value" (i * 3) v)
-    out
-
-(* the run-spec key is pure data: structural equality, stable hash,
-   readable rendering *)
-let test_config_key () =
-  let a = Config.make ~seed:7 () and b = Config.make ~seed:7 () in
-  Alcotest.(check bool) "equal configs" true (Config.equal a b);
-  Alcotest.(check int) "equal hashes" (Config.hash a) (Config.hash b);
-  Alcotest.(check bool) "seed differs" false (Config.equal a (Config.make ~seed:8 ()));
-  let contains s needle =
-    let ls = String.length s and ln = String.length needle in
-    let rec go i = i + ln <= ls && (String.sub s i ln = needle || go (i + 1)) in
-    go 0
-  in
-  let k = { Rs.k_world = a; k_mech = "seccomp"; k_index = 4 } in
-  let s = Rs.key_to_string k in
-  List.iter
-    (fun needle -> Alcotest.(check bool) ("key renders " ^ needle) true (contains s needle))
-    [ "seed=7"; "mech=seccomp"; "index=4" ]
-
 (* the tentpole invariant of the scratch-world cache: a world that ran
    a different program and was then reset in place is observationally
    identical to a freshly built one.  The dirty run is truncated
@@ -177,7 +144,5 @@ let tests =
       Alcotest.test_case "mapi indexes" `Quick test_mapi;
       Alcotest.test_case "world reuse == fresh world" `Quick test_world_reuse;
       Alcotest.test_case "lowest-index exception wins" `Quick test_exception_lowest_index;
-      Alcotest.test_case "run-spec keys in submission order" `Quick test_run_spec_keys;
-      Alcotest.test_case "config is a pure-data key" `Quick test_config_key;
       Alcotest.test_case "campaign jobs=1 == jobs=4" `Slow test_campaign_jobs_identical;
     ] )

@@ -71,7 +71,7 @@ let test_recording_truncation_rejected () =
   let s = Recording.to_string r in
   let cut = String.sub s 0 (String.length s - 40) in
   match Recording.of_string cut with
-  | exception Recording.Parse_error _ -> ()
+  | exception K23_util.Header.Parse_error _ -> ()
   | _ -> Alcotest.fail "truncated recording parsed"
 
 (* the tentpole invariant: replaying a parsed recording re-drives the
@@ -212,6 +212,83 @@ let test_corpus_record_replay () =
             true (Replayer.ok o)))
     entries
 
+(* the ls golden recording re-renders to its own bytes *)
+let test_golden_recording_rerenders () =
+  let text = In_channel.with_open_bin "golden/ls.k23rec" In_channel.input_all in
+  Alcotest.(check string) "re-rendered bytes" text (Recording.to_string (Recording.of_string text))
+
+(* Both text codecs stay total on malformed input: byte flips,
+   deletions, truncations and inserted ':' / newline / '---' applied to
+   the checked-in repros and the ls golden recording either parse or
+   raise the codec's Parse_error — never another exception — and
+   whatever parses re-renders to text that parses back to the same
+   value. *)
+type mutation = Flip of int * char | Delete of int * int | Truncate of int | Insert of int * string
+
+let mutate s m =
+  let len = String.length s in
+  let at i = i mod (len + 1) in
+  match m with
+  | Flip (i, c) -> if len = 0 then s else String.mapi (fun j x -> if j = i mod len then c else x) s
+  | Delete (i, n) ->
+    let i = at i in
+    let n = min n (len - i) in
+    String.sub s 0 i ^ String.sub s (i + n) (len - i - n)
+  | Truncate i -> String.sub s 0 (at i)
+  | Insert (i, t) ->
+    let i = at i in
+    String.sub s 0 i ^ t ^ String.sub s i (len - i)
+
+let mutation_to_string = function
+  | Flip (i, c) -> Printf.sprintf "flip %d %C" i c
+  | Delete (i, n) -> Printf.sprintf "delete %d %d" i n
+  | Truncate i -> Printf.sprintf "truncate %d" i
+  | Insert (i, t) -> Printf.sprintf "insert %d %S" i t
+
+(* a parse either fails cleanly or survives render -> parse *)
+let total_and_stable parse render text =
+  match parse text with
+  | exception K23_util.Header.Parse_error _ -> true
+  | v -> parse (render v) = v
+
+let prop_codecs_robust =
+  let module Corpus = K23_fuzz.Corpus in
+  let read f = lazy (In_channel.with_open_bin f In_channel.input_all) in
+  let repro f = (f, read f, total_and_stable Corpus.of_string Corpus.to_string) in
+  let files =
+    [
+      ( "golden/ls.k23rec",
+        read "golden/ls.k23rec",
+        total_and_stable Recording.of_string Recording.to_string );
+      repro "corpus/null-call-zpoline-default.repro";
+      repro "corpus/restart-nanosleep-zpoline-default.repro";
+      repro "corpus/svc-alias-asc-hook.repro";
+    ]
+  in
+  let gen =
+    QCheck.Gen.(
+      (* half the positions land in the first 512 bytes, where the headers are *)
+      let pos = oneof [ int_bound 512; int_bound 1_000_000 ] in
+      let mutation =
+        oneof
+          [
+            map2 (fun i c -> Flip (i, c)) pos char;
+            map2 (fun i n -> Delete (i, n)) pos (int_range 1 8);
+            map (fun i -> Truncate i) pos;
+            map2 (fun i t -> Insert (i, t)) pos (oneofl [ ":"; "\n"; "---"; "\n---\n"; ": " ]);
+          ]
+      in
+      pair (int_bound (List.length files - 1)) (list_size (int_range 1 3) mutation))
+  in
+  let print (f, ms) =
+    let name, _, _ = List.nth files f in
+    String.concat "; " (name :: List.map mutation_to_string ms)
+  in
+  QCheck.Test.make ~name:"corpus and recording codecs robust on mutated files" ~count:2000
+    (QCheck.make ~print gen) (fun (f, ms) ->
+      let _, text, check = List.nth files f in
+      check (List.fold_left mutate (Lazy.force text) ms))
+
 let tests =
   ( "replay",
     [
@@ -225,4 +302,7 @@ let tests =
       Alcotest.test_case "replay oracle = live oracle" `Quick test_replay_oracle_matches_live;
       Alcotest.test_case "recording isa wire format" `Quick test_recording_isa_wire_format;
       Alcotest.test_case "corpus record/replay (incl. faults)" `Quick test_corpus_record_replay;
+      Alcotest.test_case "golden recording re-renders byte-identical" `Quick
+        test_golden_recording_rerenders;
+      QCheck_alcotest.to_alcotest prop_codecs_robust;
     ] )
