@@ -37,12 +37,16 @@ type fault = { fault_addr : int; access : access }
 
 exception Fault of fault
 
-type page = { bytes : Bytes.t; mutable perm : perm; mutable pkey : int }
+(* A [cow] page's buffer may be shared — with the zero page (fresh
+   mappings) or with a [clone] (fork) — so every write path calls [own]
+   first, which gives the page a private copy; reads never copy. *)
+type page = { mutable bytes : Bytes.t; mutable cow : bool; mutable perm : perm; mutable pkey : int }
 
 type t = {
   pages : (int, page) Hashtbl.t;
   mutable committed_bytes : int;
-      (** physical memory actually allocated (touched pages) *)
+      (** the simulated kernel's commit count: every mapped page, whether
+          or not the host has allocated its buffer yet *)
   mutable reserved_bytes : int;
       (** virtual reservations including MAP_NORESERVE-style mappings
           that never allocate pages (zpoline's full-address-space
@@ -63,7 +67,18 @@ type t = {
 
 (* Placeholder behind an empty TLB slot (idx = -1, never a real page
    index since addresses shift right logically). *)
-let no_page = { bytes = Bytes.empty; perm = perm_none; pkey = 0 }
+let no_page = { bytes = Bytes.empty; cow = false; perm = perm_none; pkey = 0 }
+
+(* The buffer behind every freshly mapped page.  Shared by all memories
+   in all domains and never written: pages that point at it are [cow]. *)
+let zero_page = Bytes.make page_size '\000'
+
+(* Give [p] a private buffer before its first write. *)
+let[@inline] own p =
+  if p.cow then begin
+    p.bytes <- Bytes.copy p.bytes;
+    p.cow <- false
+  end
 
 let create () =
   {
@@ -77,6 +92,9 @@ let create () =
     tlb_raw_idx = -1;
     tlb_raw_pg = no_page;
   }
+
+let committed_bytes t = t.committed_bytes
+let reserved_bytes t = t.reserved_bytes
 
 let tlb_flush t =
   t.tlb_r_idx <- -1;
@@ -98,17 +116,21 @@ let find_page t addr = Hashtbl.find_opt t.pages (page_index addr)
 
 (** [map t ~addr ~len ~perm] maps (and commits) pages covering
     [addr, addr+len).  [addr] must be page-aligned.  Already-mapped
-    pages in the range are remapped fresh (MAP_FIXED semantics). *)
+    pages in the range are remapped fresh (MAP_FIXED semantics) and
+    are not counted again.  New pages share {!zero_page} until their
+    first write. *)
 let map ?(pkey = 0) t ~addr ~len ~perm =
   if addr land (page_size - 1) <> 0 then invalid_arg "Memory.map: unaligned addr";
   if len <= 0 then invalid_arg "Memory.map: bad length";
   let npages = (align_up len) lsr page_shift in
   for i = 0 to npages - 1 do
     let idx = page_index addr + i in
-    if not (Hashtbl.mem t.pages idx) then t.committed_bytes <- t.committed_bytes + page_size;
-    Hashtbl.replace t.pages idx { bytes = Bytes.make page_size '\000'; perm; pkey }
+    if not (Hashtbl.mem t.pages idx) then begin
+      t.committed_bytes <- t.committed_bytes + page_size;
+      t.reserved_bytes <- t.reserved_bytes + page_size
+    end;
+    Hashtbl.replace t.pages idx { bytes = zero_page; cow = true; perm; pkey }
   done;
-  t.reserved_bytes <- t.reserved_bytes + (npages * page_size);
   tlb_flush t
 
 (** Record a virtual-only reservation (MAP_NORESERVE): no pages are
@@ -171,17 +193,37 @@ let read_u8_raw t addr =
 
 let write_u8_raw t addr v =
   let p = lookup_raw t addr `Write in
+  own p;
   Bytes.set p.bytes (addr land (page_size - 1)) (Char.chr (v land 0xff))
 
+(* Range copies look each page up once and blit the part of the range
+   inside it.  A missing page faults at its first byte in the range,
+   after the pages before it were copied: the byte loop's semantics. *)
 let read_bytes_raw t addr len =
   let out = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set out i (Char.chr (read_u8_raw t (addr + i)))
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let p = lookup_raw t a `Read in
+    let off = a land (page_size - 1) in
+    let n = min (len - !pos) (page_size - off) in
+    Bytes.blit p.bytes off out !pos n;
+    pos := !pos + n
   done;
   out
 
 let write_bytes_raw t addr b =
-  Bytes.iteri (fun i c -> write_u8_raw t (addr + i) (Char.code c)) b
+  let len = Bytes.length b in
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let p = lookup_raw t a `Write in
+    own p;
+    let off = a land (page_size - 1) in
+    let n = min (len - !pos) (page_size - off) in
+    Bytes.blit b !pos p.bytes off n;
+    pos := !pos + n
+  done
 
 (* Word accesses that stay within one page read/write the page buffer
    directly; straddles fall back byte-by-byte (same per-byte fault
@@ -205,6 +247,7 @@ let write_u64_raw t addr v =
   let off = addr land (page_size - 1) in
   if off <= page_size - 8 then
     let p = lookup_raw t addr `Write in
+    own p;
     Bytes.set_int64_le p.bytes off (Int64.logand (Int64.of_int v) word_mask)
   else
     for i = 0 to 7 do
@@ -230,6 +273,7 @@ let write_u32_raw t addr v =
     done
   else
     let p = lookup_raw t addr `Write in
+    own p;
     Bytes.set_int32_le p.bytes (addr land (page_size - 1)) (Int32.of_int v)
 
 (* ------------------------------------------------------------------ *)
@@ -292,6 +336,7 @@ let read_u8 t ~pkru addr =
 
 let write_u8 t ~pkru addr v =
   let p = lookup_w t ~pkru addr in
+  own p;
   Bytes.set p.bytes (addr land (page_size - 1)) (Char.chr (v land 0xff))
 
 (* In-page words: one page lookup (usually a TLB hit) and one
@@ -313,6 +358,7 @@ let write_u64 t ~pkru addr v =
   let off = addr land (page_size - 1) in
   if off <= page_size - 8 then
     let p = lookup_w t ~pkru addr in
+    own p;
     Bytes.set_int64_le p.bytes off (Int64.logand (Int64.of_int v) word_mask)
   else begin
     for i = 0 to 7 do
@@ -327,12 +373,16 @@ let fetch_u8 t addr =
 
 (* ------------------------------------------------------------------ *)
 
-(** Deep copy, for fork(). *)
+(** Copy for fork(): deep to every observer, but each page buffer is
+    shared and both sides' records are marked [cow], so a page is copied
+    only when one side first writes it. *)
 let clone t =
-  let pages = Hashtbl.create (Hashtbl.length t.pages) in
-  Hashtbl.iter
-    (fun idx p -> Hashtbl.replace pages idx { p with bytes = Bytes.copy p.bytes })
-    t.pages;
+  let pages = Hashtbl.copy t.pages in
+  Hashtbl.filter_map_inplace
+    (fun _ p ->
+      p.cow <- true;
+      Some { p with cow = true })
+    pages;
   {
     pages;
     committed_bytes = t.committed_bytes;

@@ -29,25 +29,18 @@ type fault = { fault_addr : int; access : access }
 
 exception Fault of fault
 
-type t = {
-  pages : (int, page) Hashtbl.t;
-  mutable committed_bytes : int;  (** physical memory actually allocated *)
-  mutable reserved_bytes : int;
-      (** virtual reservations incl. MAP_NORESERVE mappings — the basis
-          of the P4b memory measurement *)
-  mutable tlb_r_idx : int;
-      (** one-entry data-TLBs (read/write/raw): last (page_index, page)
-          binding per access kind, flushed on map/unmap.  Permissions
-          are never cached — each access re-checks the page record, so
-          mprotect/pkey_mprotect/wrpkru take effect immediately. *)
-  mutable tlb_r_pg : page;
-  mutable tlb_w_idx : int;
-  mutable tlb_w_pg : page;
-  mutable tlb_raw_idx : int;
-  mutable tlb_raw_pg : page;
-}
+type t
+(** A sparse page table.  Abstract, together with its page records, so
+    that every write goes through this module's accessors, which copy a
+    shared ([cow]) page buffer first. *)
 
-and page = { bytes : Bytes.t; mutable perm : perm; mutable pkey : int }
+val committed_bytes : t -> int
+(** The simulated kernel's commit count: 4 KiB per mapped page, whether
+    or not the host has allocated the page's buffer yet. *)
+
+val reserved_bytes : t -> int
+(** Virtual reservations incl. MAP_NORESERVE mappings — the basis of
+    the P4b memory measurement. *)
 
 val create : unit -> t
 
@@ -56,11 +49,12 @@ val align_down : int -> int
 val align_up : int -> int
 
 val is_mapped : t -> int -> bool
-val find_page : t -> int -> page option
 
 val map : ?pkey:int -> t -> addr:int -> len:int -> perm:perm -> unit
 (** Map (and commit) pages covering [addr, addr+len); [addr] must be
-    page-aligned.  MAP_FIXED semantics on overlap. *)
+    page-aligned.  MAP_FIXED semantics on overlap: remapped pages read
+    zeros again and are not counted twice.  New pages share one
+    read-only zero page until their first write. *)
 
 val reserve : t -> len:int -> unit
 (** Virtual-only reservation (MAP_NORESERVE): accounted, not
@@ -81,8 +75,15 @@ val get_pkey : t -> int -> int option
 
 val read_u8_raw : t -> int -> int
 val write_u8_raw : t -> int -> int -> unit
+
 val read_bytes_raw : t -> int -> int -> Bytes.t
+(** Range copy, one page lookup and one blit per page.  A missing page
+    raises {!Fault} at its first byte in the range. *)
+
 val write_bytes_raw : t -> int -> Bytes.t -> unit
+(** As {!read_bytes_raw}; on a fault, the pages before the missing one
+    have already been written. *)
+
 val read_u64_raw : t -> int -> int
 val write_u64_raw : t -> int -> int -> unit
 
@@ -110,7 +111,8 @@ val write_u64 : t -> pkru:int -> int -> int -> unit
 val fetch_u8 : t -> int -> int
 
 val clone : t -> t
-(** Deep copy, for fork(). *)
+(** Copy for fork(): deep to every observer, made lazily — both sides
+    share each page buffer until one of them first writes the page. *)
 
 val read_cstr : ?max:int -> t -> int -> string
 val write_cstr : t -> int -> string -> unit

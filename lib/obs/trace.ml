@@ -6,8 +6,9 @@
     would-be event (the "zero-overhead when disabled" contract,
     verified by the simperf numbers in EXPERIMENTS.md).
 
-    The sink is bounded overwrite-oldest by default (tracing);
-    [~unbounded:true] switches to a growing ring that never drops — the
+    The sink is bounded overwrite-oldest by default (tracing); its ring
+    grows on demand, so a short run allocates only what it records.
+    [~unbounded:true] lifts the bound, so the ring never drops — the
     recorder's mode, where a lost event means an unreplayable log.  The
     optional [on_event] observer fires synchronously after each event
     is retained; the replayer uses it to diff the live stream against a

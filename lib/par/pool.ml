@@ -19,9 +19,9 @@
     the code path is byte-for-byte the pre-pool one.
 
     The pool is deliberately dumb: a work queue drained by
-    [Atomic.fetch_and_add], one domain per job, no futures, no
-    work-stealing.  World-runs are coarse (milliseconds to seconds);
-    queue-pop cost is noise.  What matters — and what the tests pin
+    [Atomic.fetch_and_add], one domain per job (the calling domain is
+    one of them), no futures, no work-stealing.  World-runs are coarse
+    (milliseconds to seconds); queue-pop cost is noise.  What matters — and what the tests pin
     down — is that nothing observable depends on domain scheduling.
 
     Tasks must not share mutable state; the simulator's audit
@@ -75,7 +75,13 @@ let map ~jobs ?(chunk = 1) (f : 'a -> 'b) (tasks : 'a list) : 'b list =
       in
       loop ()
     in
-    let domains = Array.init jobs (fun _ -> Domain.spawn worker) in
+    (* the calling domain is one of the [jobs] workers: parked in
+       [Domain.join] it would still be a domain that every
+       stop-the-world minor collection waits for, answered by a backup
+       thread that needs a free core — with [jobs] = cores, each
+       collection would stall until one came free *)
+    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
     Array.iter Domain.join domains;
     (* joins establish happens-before: every slot is visible and filled *)
     Array.iter

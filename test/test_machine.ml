@@ -49,13 +49,19 @@ let test_fetch_needs_exec () =
     (Memory.Fault { fault_addr = 0x1000; access = `Exec })
     (fun () -> ignore (Memory.fetch_u8 m 0x1000))
 
+(* clone shares page buffers copy-on-write: a write on either side
+   must stay invisible to the other *)
 let test_clone_is_deep () =
   let m = Memory.create () in
-  Memory.map m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rw;
+  Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
   Memory.write_u8_raw m 0x1000 7;
+  Memory.write_u64_raw m 0x2000 22;
   let c = Memory.clone m in
   Memory.write_u8_raw m 0x1000 9;
-  Alcotest.(check int) "clone unaffected" 7 (Memory.read_u8_raw c 0x1000)
+  Alcotest.(check int) "clone unaffected" 7 (Memory.read_u8_raw c 0x1000);
+  Memory.write_u64 c ~pkru:0 0x2000 99;
+  Alcotest.(check int) "clone sees its write" 99 (Memory.read_u64_raw c 0x2000);
+  Alcotest.(check int) "parent unaffected" 22 (Memory.read_u64_raw m 0x2000)
 
 let test_cstr_roundtrip () =
   let m = Memory.create () in
@@ -66,8 +72,8 @@ let test_cstr_roundtrip () =
 let test_reservation_accounting () =
   let m = Memory.create () in
   Memory.reserve m ~len:(1 lsl 45);
-  Alcotest.(check int) "reserved" (1 lsl 45) m.reserved_bytes;
-  Alcotest.(check int) "not committed" 0 m.committed_bytes
+  Alcotest.(check int) "reserved" (1 lsl 45) (Memory.reserved_bytes m);
+  Alcotest.(check int) "not committed" 0 (Memory.committed_bytes m)
 
 let prop_memory_bytes =
   QCheck.Test.make ~name:"memory: write/read byte roundtrip" ~count:500
@@ -99,18 +105,27 @@ let prop_memory_u64 =
 let test_unmap_accounting () =
   let m = Memory.create () in
   Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
-  Alcotest.(check int) "committed" 8192 m.committed_bytes;
-  Alcotest.(check int) "reserved" 8192 m.reserved_bytes;
+  Alcotest.(check int) "committed" 8192 (Memory.committed_bytes m);
+  Alcotest.(check int) "reserved" 8192 (Memory.reserved_bytes m);
   (* the range covers two mapped and two unmapped pages: only the
      mapped ones may be deducted *)
   Memory.unmap m ~addr:0x0 ~len:16384;
-  Alcotest.(check int) "committed after unmap" 0 m.committed_bytes;
-  Alcotest.(check int) "reserved after unmap" 0 m.reserved_bytes;
+  Alcotest.(check int) "committed after unmap" 0 (Memory.committed_bytes m);
+  Alcotest.(check int) "reserved after unmap" 0 (Memory.reserved_bytes m);
   (* unmapping an already-unmapped range must be a no-op, not drive
      the counters negative *)
   Memory.unmap m ~addr:0x0 ~len:16384;
-  Alcotest.(check int) "committed stays 0" 0 m.committed_bytes;
-  Alcotest.(check int) "reserved stays 0" 0 m.reserved_bytes
+  Alcotest.(check int) "committed stays 0" 0 (Memory.committed_bytes m);
+  Alcotest.(check int) "reserved stays 0" 0 (Memory.reserved_bytes m);
+  (* MAP_FIXED over mapped pages must not count them twice, or the
+     single unmap below would leak the reservation *)
+  Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
+  Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
+  Alcotest.(check int) "remap committed once" 8192 (Memory.committed_bytes m);
+  Alcotest.(check int) "remap reserved once" 8192 (Memory.reserved_bytes m);
+  Memory.unmap m ~addr:0x1000 ~len:8192;
+  Alcotest.(check int) "committed after remap+unmap" 0 (Memory.committed_bytes m);
+  Alcotest.(check int) "reserved after remap+unmap" 0 (Memory.reserved_bytes m)
 
 let test_tlb_unmap_faults () =
   let m = Memory.create () in
@@ -160,6 +175,139 @@ let test_u64_straddle_fault_addr () =
   Alcotest.check_raises "straddle read fault at 0x2000"
     (Memory.Fault { fault_addr = 0x2000; access = `Read })
     (fun () -> ignore (Memory.read_u64 m ~pkru:0 0x1ffc))
+
+(* Range copies against the byte-at-a-time definition.  Three pages at
+   [range_base], optionally with the middle one unmapped; the reference
+   is a flat array plus the set of mapped pages, copied one byte at a
+   time until the first unmapped byte. *)
+let range_base = 0x10000
+
+let prop_memory_range_copy =
+  QCheck.Test.make ~name:"memory: range copies == byte loop" ~count:500
+    QCheck.(quad (int_range 0 8191) (int_range 1 (3 * 4096)) bool bool)
+    (fun (off, len, hole, prefill) ->
+      let len = min len ((3 * 4096) - off) in
+      let addr = range_base + off in
+      let mapped a = (not hole) || a lsr 12 <> (range_base lsr 12) + 1 in
+      let m = Memory.create () in
+      Memory.map m ~addr:range_base ~len:(3 * 4096) ~perm:Memory.perm_rw;
+      if hole then Memory.unmap m ~addr:(range_base + 4096) ~len:4096;
+      let model = Array.make (3 * 4096) 0 in
+      if prefill then
+        for i = 0 to (3 * 4096) - 1 do
+          if mapped (range_base + i) then begin
+            model.(i) <- ((i * 7) + 3) land 0xff;
+            Memory.write_u8_raw m (range_base + i) model.(i)
+          end
+        done;
+      let data = Bytes.init len (fun i -> Char.chr (((i * 131) + off) land 0xff)) in
+      (* the byte loop: the first unmapped byte faults *)
+      let fault =
+        let rec first i =
+          if i = len then None else if mapped (addr + i) then first (i + 1) else Some (addr + i)
+        in
+        first 0
+      in
+      let read_ok =
+        match (Memory.read_bytes_raw m addr len, fault) with
+        | got, None -> Bytes.equal got (Bytes.init len (fun i -> Char.chr model.(off + i)))
+        | _, Some _ -> false
+        | exception Memory.Fault f -> fault = Some f.fault_addr && f.access = `Read
+      in
+      let written = match fault with None -> len | Some a -> a - addr in
+      for i = 0 to written - 1 do
+        model.(off + i) <- Char.code (Bytes.get data i)
+      done;
+      let write_ok =
+        match Memory.write_bytes_raw m addr data with
+        | () -> fault = None
+        | exception Memory.Fault f -> fault = Some f.fault_addr && f.access = `Write
+      in
+      let image_ok = ref true in
+      for i = 0 to (3 * 4096) - 1 do
+        if mapped (range_base + i) && Memory.read_u8_raw m (range_base + i) <> model.(i) then
+          image_ok := false
+      done;
+      read_ok && write_ok && !image_ok)
+
+(* --- copy-on-write: fork-shared and zero-backed pages (clone
+   isolation itself is "clone is deep" above) --- *)
+
+let test_cow_clone_of_clone () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
+  Memory.write_bytes_raw m 0x1000 (Bytes.of_string "base");
+  let c1 = Memory.clone m in
+  let c2 = Memory.clone c1 in
+  Memory.write_bytes_raw c1 0x1000 (Bytes.of_string "one");
+  Memory.write_u32_raw c2 0x1000 0x6f777400;
+  let s mem = Bytes.to_string (Memory.read_bytes_raw mem 0x1000 4) in
+  Alcotest.(check string) "original" "base" (s m);
+  Alcotest.(check string) "first clone" "onee" (s c1);
+  Alcotest.(check string) "second clone" "\000two" (s c2);
+  Memory.write_u8_raw m 0x2000 5;
+  List.iter
+    (fun mem -> Alcotest.(check int) "untouched shared page" 0 (Memory.read_u8_raw mem 0x2000))
+    [ c1; c2 ];
+  Alcotest.(check int) "original's write" 5 (Memory.read_u8_raw m 0x2000)
+
+let test_cow_set_perm_one_side () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rw;
+  Memory.write_u8_raw m 0x1000 1;
+  let c = Memory.clone m in
+  Memory.set_perm c ~addr:0x1000 ~len:4096 ~perm:Memory.perm_r;
+  Alcotest.check_raises "child is read-only"
+    (Memory.Fault { fault_addr = 0x1000; access = `Write })
+    (fun () -> Memory.write_u8 c ~pkru:0 0x1000 2);
+  Memory.write_u8 m ~pkru:0 0x1000 3;
+  Alcotest.(check (option string)) "parent keeps rw" (Some "rw-")
+    (Option.map Memory.perm_to_string (Memory.get_perm m 0x1000));
+  Alcotest.(check int) "parent wrote" 3 (Memory.read_u8 m ~pkru:0 0x1000);
+  Alcotest.(check int) "child unchanged" 1 (Memory.read_u8 c ~pkru:0 0x1000)
+
+(* Every write path on a zero-backed page takes a private copy: a page
+   mapped afterwards, here or in another memory, still reads zeros. *)
+let test_cow_zero_page_stays_zero () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~len:(6 * 4096) ~perm:Memory.perm_rw;
+  Memory.write_u8 m ~pkru:0 0x1000 1;
+  Memory.write_u8_raw m 0x2008 2;
+  Memory.write_u64 m ~pkru:0 0x3010 3;
+  Memory.write_u64_raw m 0x4018 4;
+  Memory.write_u32_raw m 0x5020 5;
+  Memory.write_bytes_raw m 0x6028 (Bytes.make 8 '\006');
+  let zeros = Bytes.make 4096 '\000' in
+  Memory.map m ~addr:0x8000 ~len:4096 ~perm:Memory.perm_rw;
+  Alcotest.(check bool) "fresh page reads zeros" true
+    (Bytes.equal zeros (Memory.read_bytes_raw m 0x8000 4096));
+  let other = Memory.create () in
+  Memory.map other ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rw;
+  Alcotest.(check bool) "another memory's fresh page reads zeros" true
+    (Bytes.equal zeros (Memory.read_bytes_raw other 0x1000 4096));
+  Alcotest.(check (list int)) "each write landed" [ 1; 2; 3; 4; 5; 6 ]
+    [
+      Memory.read_u8_raw m 0x1000;
+      Memory.read_u8_raw m 0x2008;
+      Memory.read_u64_raw m 0x3010;
+      Memory.read_u64_raw m 0x4018;
+      Memory.read_u32_raw m 0x5020;
+      Memory.read_u8_raw m 0x602f;
+    ]
+
+let test_cow_straddling_u64 () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
+  Memory.write_u64_raw m 0x1ff8 0x1111_1111_1111_1111;
+  Memory.write_u64_raw m 0x2000 0x2222_2222_2222_2222;
+  let c = Memory.clone m in
+  Memory.write_u64 m ~pkru:0 0x1ffc 0x0102_0304_0506_0708;
+  Alcotest.(check int) "parent reads the straddling word" 0x0102_0304_0506_0708
+    (Memory.read_u64 m ~pkru:0 0x1ffc);
+  Alcotest.(check int) "child's first page unchanged" 0x1111_1111_1111_1111
+    (Memory.read_u64_raw c 0x1ff8);
+  Alcotest.(check int) "child's second page unchanged" 0x2222_2222_2222_2222
+    (Memory.read_u64_raw c 0x2000)
 
 (* ---------------- icache ---------------- *)
 
@@ -389,6 +537,11 @@ let tests =
       Alcotest.test_case "u64 page-straddle fault address" `Quick test_u64_straddle_fault_addr;
       QCheck_alcotest.to_alcotest prop_memory_bytes;
       QCheck_alcotest.to_alcotest prop_memory_u64;
+      QCheck_alcotest.to_alcotest prop_memory_range_copy;
+      Alcotest.test_case "cow: clone of a clone" `Quick test_cow_clone_of_clone;
+      Alcotest.test_case "cow: set_perm on one side" `Quick test_cow_set_perm_one_side;
+      Alcotest.test_case "cow: zero page never written" `Quick test_cow_zero_page_stays_zero;
+      Alcotest.test_case "cow: straddling u64 across two pages" `Quick test_cow_straddling_u64;
       Alcotest.test_case "icache serves stale lines" `Quick test_icache_caches_stale;
       Alcotest.test_case "icache flush" `Quick test_icache_flush;
       Alcotest.test_case "predecode: self-store re-decodes (SMC)" `Quick

@@ -110,6 +110,53 @@ let test_ring_fold_iter_parity () =
   parity r;
   Alcotest.(check int) "fold sees live entries only" (8 + 9 + 10 + 11) (Ring.fold ( + ) 0 r)
 
+(* The growing bounded ring against a reference eager ring (the full
+   array allocated up front, overwrite-oldest from the first wrap):
+   after every operation both must agree on contents, length, dropped
+   and capacity.  An operation pushes a run of fresh integers, or
+   clears; the capacities straddle the growing ring's initial array. *)
+type 'a eager = { ebuf : 'a option array; mutable enext : int; mutable elen : int; mutable edrop : int }
+
+let eager_create cap = { ebuf = Array.make cap None; enext = 0; elen = 0; edrop = 0 }
+
+let eager_push e x =
+  let cap = Array.length e.ebuf in
+  if e.elen = cap then e.edrop <- e.edrop + 1 else e.elen <- e.elen + 1;
+  e.ebuf.(e.enext) <- Some x;
+  e.enext <- (e.enext + 1) mod cap
+
+let eager_clear e =
+  Array.fill e.ebuf 0 (Array.length e.ebuf) None;
+  e.enext <- 0;
+  e.elen <- 0;
+  e.edrop <- 0
+
+let eager_to_list e =
+  let cap = Array.length e.ebuf in
+  List.init e.elen (fun i -> Option.get e.ebuf.((e.enext - e.elen + i + cap) mod cap))
+
+let prop_ring_model =
+  let op = QCheck.(pair (int_range 0 9) (int_range 1 3000)) in
+  QCheck.Test.make ~name:"ring: growing ring == eager reference" ~count:60
+    QCheck.(pair (oneofl [ 1; 3; 1024; 1025; 5000 ]) (list_of_size Gen.(int_range 1 10) op))
+    (fun (cap, ops) ->
+      let r = Ring.create ~capacity:cap and e = eager_create cap in
+      let next = ref 0 in
+      List.for_all
+        (fun (kind, n) ->
+          if kind = 0 then (Ring.clear r; eager_clear e)
+          else
+            for _ = 1 to n do
+              incr next;
+              Ring.push r !next;
+              eager_push e !next
+            done;
+          Ring.to_list r = eager_to_list e
+          && Ring.length r = e.elen
+          && Ring.dropped r = e.edrop
+          && Ring.capacity r = cap)
+        ops)
+
 (* --- request latency events ------------------------------------------ *)
 
 (* run a small open-loop client under ktrace: every req_recv must pair
@@ -373,6 +420,7 @@ let tests =
       Alcotest.test_case "ring overflow on a live run" `Quick test_ring_overflow_live;
       Alcotest.test_case "ring fold/iter parity (incl. wrapped)" `Quick
         test_ring_fold_iter_parity;
+      QCheck_alcotest.to_alcotest prop_ring_model;
       Alcotest.test_case "unbounded ring never drops" `Quick test_ring_unbounded;
       Alcotest.test_case "unbounded ring growth keeps order" `Quick
         test_ring_unbounded_growth_order;

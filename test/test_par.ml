@@ -57,6 +57,32 @@ let test_single_task_large_chunk () =
   Alcotest.(check (list int)) "mapi tasks=1 jobs=8 chunk=16" [ 107 ]
     (Pool.mapi ~jobs:8 ~chunk:16 (fun i x -> i + x) [ 107 ])
 
+(* [jobs] counts the calling domain: it works the queue instead of
+   parking in [Domain.join], so no more than [jobs - 1] other domains
+   ever run a task.  Each task spins ~1 ms so that every spawned domain
+   gets to claim some. *)
+let test_caller_is_a_worker () =
+  let self = (Domain.self () :> int) in
+  List.iter
+    (fun jobs ->
+      let ran_on =
+        Pool.map ~jobs
+          (fun _ ->
+            let acc = ref 0 in
+            for i = 1 to 1_000_000 do
+              acc := Sys.opaque_identity (!acc + i)
+            done;
+            (Domain.self () :> int))
+          (List.init 40 Fun.id)
+      in
+      let others = List.sort_uniq compare (List.filter (fun d -> d <> self) ran_on) in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: at most %d other domains (saw %d)" jobs (jobs - 1)
+           (List.length others))
+        true
+        (List.length others <= jobs - 1))
+    [ 2; 3 ]
+
 exception Boom of int
 
 (* when several tasks fail, the lowest-indexed exception is re-raised
@@ -142,6 +168,7 @@ let tests =
       Alcotest.test_case "chunked map: same results, any (jobs, chunk)" `Quick test_chunked_map;
       Alcotest.test_case "single task, jobs=8 chunk=16" `Quick test_single_task_large_chunk;
       Alcotest.test_case "mapi indexes" `Quick test_mapi;
+      Alcotest.test_case "calling domain is one of the jobs" `Quick test_caller_is_a_worker;
       Alcotest.test_case "world reuse == fresh world" `Quick test_world_reuse;
       Alcotest.test_case "lowest-index exception wins" `Quick test_exception_lowest_index;
       Alcotest.test_case "campaign jobs=1 == jobs=4" `Slow test_campaign_jobs_identical;
