@@ -88,15 +88,9 @@ let image ?(isa = Isa.X86_64) ~handler ~stats () : image =
   im
 
 (** TRAP-style interposition (signal-based, expressive). *)
-let launch w ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w "mech:seccomp-trap";
-  let stats = fresh_stats () in
-  let handler = counting_handler ?inner stats in
-  register_library w (image ~isa:w.isa ~handler ~stats ());
-  let env = add_preload env lib_path in
-  match World.spawn w ~path ?argv ~env () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+let launch w ?inner ~path ?argv ?env () =
+  launch_preloaded w ~annot:"mech:seccomp-trap" ~lib_path ~image:(image ~isa:w.isa) ?inner ~path
+    ?argv ?env ()
 
 (** Pure-filter policy: install [filters] right before main runs via a
     minimal preload whose constructor does only that.  No user handler

@@ -71,12 +71,7 @@ let image ?(interpose_on = true) ?(isa = Isa.X86_64) ~handler ~stats () : image 
   im_ref := Some im;
   im
 
-let launch w ?(interpose_on = true) ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w (if interpose_on then "mech:sud" else "mech:sud-nointerpose");
-  let stats = fresh_stats () in
-  let handler = counting_handler ?inner stats in
-  register_library w (image ~interpose_on ~isa:w.isa ~handler ~stats ());
-  let env = add_preload env lib_path in
-  match World.spawn w ~path ?argv ~env () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+let launch w ?(interpose_on = true) ?inner ~path ?argv ?env () =
+  launch_preloaded w
+    ~annot:(if interpose_on then "mech:sud" else "mech:sud-nointerpose")
+    ~lib_path ~image:(image ~interpose_on ~isa:w.isa) ?inner ~path ?argv ?env ()

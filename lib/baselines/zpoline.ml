@@ -122,13 +122,7 @@ let image ~variant ~handler ~stats () : image =
 
 (** Launch [path] under zpoline.  Returns the process and the shared
     interposition statistics. *)
-let launch w ~variant ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w
-    ("mech:" ^ match variant with Default -> "zpoline" | Ultra -> "zpoline-ultra");
-  let stats = fresh_stats () in
-  let handler = counting_handler ?inner stats in
-  register_library w (image ~variant ~handler ~stats ());
-  let env = add_preload env lib_path in
-  match World.spawn w ~path ?argv ~env () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+let launch w ~variant ?inner ~path ?argv ?env () =
+  launch_preloaded w
+    ~annot:("mech:" ^ match variant with Default -> "zpoline" | Ultra -> "zpoline-ultra")
+    ~lib_path ~image:(image ~variant) ?inner ~path ?argv ?env ()

@@ -24,20 +24,25 @@ let variant_to_string = Libk23.variant_to_string
 (* ------------------------------------------------------------------ *)
 (* Offline phase                                                       *)
 
-(** Run the offline phase once: the target executes under libLogger
-    (plus the preload-enforcing companion tracer) and every unique
-    syscall site lands in /k23/logs.  Returns the accumulated log. *)
-let offline_run w ~path ?argv ?(env = []) ?(max_steps = 50_000_000) () =
+(** The one offline environment: spawn [path] under libLogger, with
+    the preload-enforcing companion tracer attached, so every unique
+    syscall site it executes lands in /k23/logs.  The offline phase
+    mirrors the online environment, where the vdso is disabled too, so
+    vdso-fallback syscall sites are observed and logged; [~vdso:true]
+    maps it anyway (Table 2's server rows).  Returns the process. *)
+let offline_spawn w ~path ?argv ?(env = []) ?(vdso = false) () =
   let stats = fresh_stats () in
   register_library w (Offline.image ~stats ());
   let env = add_preload env Offline.lib_path in
   let tracer = Ptracer.preload_enforcer ~lib_path:Offline.lib_path () in
-  (* the offline phase mirrors the online environment: the vdso is
-     disabled there too, so vdso-fallback syscall sites are observed
-     and logged *)
-  (match World.spawn w ~path ?argv ~env ~tracer ~vdso:false () with
-  | Error e -> failwith (Printf.sprintf "offline_run: spawn failed (%d)" e)
-  | Ok p -> World.run_until_exit ~max_steps w p);
+  match World.spawn w ~path ?argv ~env ~tracer ~vdso () with
+  | Ok p -> p
+  | Error e -> failwith (Printf.sprintf "offline_spawn %s: spawn failed (%d)" path e)
+
+(** Run the offline phase once, to the target's exit.  Returns the
+    accumulated log. *)
+let offline_run w ~path ?argv ?env ?(max_steps = 50_000_000) () =
+  World.run_until_exit ~max_steps w (offline_spawn w ~path ?argv ?env ());
   Log_store.read w ~app:path
 
 (** Number of unique logged sites for [app] — the Table 2 metric. *)
@@ -120,14 +125,6 @@ let launch w ~variant ?inner ~path ?argv ?(env = []) () =
   match World.spawn w ~path ?argv ~env ~tracer ~vdso:false () with
   | Ok p -> Ok (p, stats)
   | Error e -> Error e
-
-(** Convenience: offline + seal + launch in one call. *)
-let offline_and_launch w ~variant ?inner ~path ?argv ?env ?(offline_runs = 1) () =
-  for _ = 1 to offline_runs do
-    ignore (offline_run w ~path ?argv ?env ())
-  done;
-  seal_logs w;
-  launch w ~variant ?inner ~path ?argv ?env ()
 
 (** Introspection for tests and benchmarks. *)
 let rewritten_sites (p : proc) = (Libk23.get_state p).rewritten

@@ -31,13 +31,7 @@ let histogram events =
 let run_mech ?(seed = 42) ?(iters = 300) mech =
   let w = Sim.create_world ~seed () in
   let t = Kern.ktrace_enable w in
-  ignore (Sim.register_app w ~path:Micro.app_path (Micro.app_items iters));
-  if Mech.needs_offline mech then begin
-    ignore (Sim.register_app w ~path:Micro.app_path (Micro.app_items 100));
-    ignore (K23_core.K23.offline_run w ~path:Micro.app_path ());
-    K23_core.Log_store.seal w;
-    ignore (Sim.register_app w ~path:Micro.app_path (Micro.app_items iters))
-  end;
+  Micro.install w ~mech ~iters ~offline_iters:100;
   match Mech.launch mech w ~path:Micro.app_path () with
   | Error e ->
     failwith (Printf.sprintf "ktrace_summary: launch %s failed (%d)" (Mech.to_string mech) e)

@@ -28,7 +28,6 @@
 open K23_kernel
 open K23_userland
 module F = K23_faults.Faults
-module I = K23_interpose.Interpose
 module Stats = K23_util.Stats
 module Apps = K23_apps
 module K23 = K23_core.K23
@@ -96,59 +95,31 @@ type tenant_out = {
   to_tput : float;  (** completed req/s over the load phase *)
 }
 
-(* client-side parameters matched to the server, as in Macro.client_for *)
-let client_params t =
-  match t.t_workload with
-  | Web -> (Apps.Webserver.header_len, 300)
-  | Redis -> (64, 12_500)
-
 let rate_of t = match t.t_workload with Web -> web_rate | Redis -> redis_rate
 
-(** Register a tenant's server app; returns its (path, port).  Paths
-    and ports are suffixed per tenant so several servers coexist in
-    one world. *)
+(** Register a tenant's server app; returns its (path, port) and the
+    client {!Macro.client_for} matches to it (thread count, request
+    cost, response length).  Paths and ports are suffixed per tenant
+    so several servers coexist in one world. *)
 let register_tenant w idx t ~resilient =
-  match t.t_workload with
-  | Web ->
-    let cfg = Apps.Webserver.nginx ~workers:t.t_workers ~file_size:0 ~resilient () in
-    let cfg = { cfg with Apps.Webserver.path = cfg.path ^ "#" ^ t.t_tag; port = 8080 + idx } in
-    Apps.Webserver.register w cfg;
-    (cfg.path, cfg.port)
-  | Redis ->
-    let cfg = Apps.Redis_like.default ~io_threads:t.t_workers ~resilient () in
-    let cfg = { cfg with Apps.Redis_like.path = cfg.path ^ "#" ^ t.t_tag; port = 6379 + idx } in
-    Apps.Redis_like.register w cfg;
-    (cfg.path, cfg.port)
-
-(** K23's offline phase for one tenant: run its server briefly under
-    libLogger + the ptracer enforcer, drive a short closed-loop warmup
-    client, then clear the world (same recipe as {!Macro.offline_spec}). *)
-let offline_tenant w t ~path ~port =
-  let stats = I.fresh_stats () in
-  Kern.register_library w (K23_core.Offline.image ~stats ());
-  let env = I.add_preload [] K23_core.Offline.lib_path in
-  let tracer = K23_core.Ptracer.preload_enforcer ~lib_path:K23_core.Offline.lib_path () in
-  (match World.spawn w ~path ~env ~tracer ~vdso:false () with
-  | Error e -> failwith (Printf.sprintf "load: offline spawn failed: %d" e)
-  | Ok _ -> ());
-  Macro.wait_for_listener w port;
-  let resp_len, req_cost = client_params t in
-  let warm =
-    {
-      Apps.Wrk.path = "/usr/bin/wrk-warm#" ^ t.t_tag;
-      port;
-      threads = t.t_workers;
-      conns = 1;
-      depth = 16;
-      rounds = 3;
-      req_cost;
-      resp_len;
-      arrival = Apps.Wrk.Closed;
-      retries = 0;
-    }
+  let workload =
+    match t.t_workload with
+    | Web ->
+      let cfg = Apps.Webserver.nginx ~workers:t.t_workers ~file_size:0 ~resilient () in
+      Macro.Web { cfg with Apps.Webserver.path = cfg.path ^ "#" ^ t.t_tag; port = 8080 + idx }
+    | Redis ->
+      let cfg = Apps.Redis_like.default ~io_threads:t.t_workers ~resilient () in
+      Macro.Redis { cfg with Apps.Redis_like.path = cfg.path ^ "#" ^ t.t_tag; port = 6379 + idx }
   in
-  ignore (Macro.drive_client w ~client:warm);
-  Macro.kill_everything w;
+  let spec = { Macro.label = t.t_tag; workload; rounds = 0 } in
+  let path, port = Macro.register_workload w spec in
+  (path, port, Option.get (Macro.client_for spec ~rounds:0))
+
+(** K23's offline phase for one tenant: {!Macro.offline_server} with a
+    short closed-loop warm-up client, then seal the logs. *)
+let offline_tenant w t ~path ~port ~client =
+  let warm = { client with Apps.Wrk.path = "/usr/bin/wrk-warm#" ^ t.t_tag; rounds = 3 } in
+  Macro.offline_server w ~path ~port ~client:warm;
   K23.seal_logs w
 
 let progress fmt = Printf.eprintf fmt
@@ -170,22 +141,23 @@ let run_one ~requests ~seed ?faults (rs : row_spec) : (string * tenant_out) list
   let infos =
     List.mapi
       (fun idx t ->
-        let path, port = register_tenant w idx t ~resilient:(faults <> None) in
-        (t, path, port))
+        let path, port, client = register_tenant w idx t ~resilient:(faults <> None) in
+        (t, path, port, client))
       rs.rs_tenants
   in
   List.iter
-    (fun (t, path, port) -> if Mech.needs_offline t.t_mech then offline_tenant w t ~path ~port)
+    (fun (t, path, port, client) ->
+      if Mech.needs_offline t.t_mech then offline_tenant w t ~path ~port ~client)
     infos;
   Kern.sync_cores w;
   List.iter
-    (fun (t, path, _) ->
+    (fun (t, path, _, _) ->
       match Mech.launch t.t_mech w ~path () with
       | Error e ->
         failwith (Printf.sprintf "load: %s launch failed: %d" (Mech.to_string t.t_mech) e)
       | Ok _ -> ())
     infos;
-  List.iter (fun (_, _, port) -> Macro.wait_for_listener w port) infos;
+  List.iter (fun (_, _, port, _) -> Macro.wait_for_listener w port) infos;
   (* phase boundary: wall time has passed on every core *)
   Kern.sync_cores w;
   (match faults with
@@ -195,18 +167,13 @@ let run_one ~requests ~seed ?faults (rs : row_spec) : (string * tenant_out) list
     Kern.fault_reset w);
   let clients =
     List.map
-      (fun (t, _, port) ->
-        let resp_len, req_cost = client_params t in
+      (fun (t, _, _, client) ->
         let ccfg =
           {
+            client with
             Apps.Wrk.path = "/usr/bin/wrk#" ^ t.t_tag;
-            port;
-            threads = t.t_workers;
-            conns = 1;
             depth = 0;
             rounds = 0;
-            req_cost;
-            resp_len;
             arrival = Apps.Wrk.Open { rate = rate_of t; requests; seed = seed + 77 };
             retries = (if faults = None then 0 else 8);
           }

@@ -7,7 +7,6 @@
 
 open K23_kernel
 open K23_userland
-module I = K23_interpose.Interpose
 module Stats = K23_util.Stats
 module Apps = K23_apps
 module K23 = K23_core.K23
@@ -132,26 +131,23 @@ let drive_client w ~client =
     float_of_int results.completed *. float_of_int Kern.cycles_per_sec /. float_of_int (t_end - t0)
   | _ -> 0.0
 
-(** K23's offline phase for a server spec: run the real workload
-    briefly under libLogger (Section 6.2: "we first performed its
-    offline phase by running the relevant benchmarks"). *)
+(** K23's offline phase for a server: spawn it under libLogger, wait
+    until it listens on [port], drive [client] against it, then clear
+    the world.  [vdso] is passed to {!K23.offline_spawn}. *)
+let offline_server ?vdso w ~path ~port ~client =
+  ignore (K23.offline_spawn w ~path ?vdso ());
+  wait_for_listener w port;
+  ignore (drive_client w ~client);
+  kill_everything w
+
+(** K23's offline phase for a spec: run the real workload briefly
+    under libLogger (Section 6.2: "we first performed its offline
+    phase by running the relevant benchmarks"), then seal the logs. *)
 let offline_spec w spec ~path ~port =
   (match spec.workload with
   | Sqlite _ -> ignore (K23.offline_run w ~path ~max_steps:80_000_000 ())
   | Web _ | Redis _ ->
-    let stats = I.fresh_stats () in
-    Kern.register_library w (K23_core.Offline.image ~stats ());
-    let env = I.add_preload [] K23_core.Offline.lib_path in
-    let tracer = K23_core.Ptracer.preload_enforcer ~lib_path:K23_core.Offline.lib_path () in
-    (* vdso disabled, matching K23's online environment *)
-    (match World.spawn w ~path ~env ~tracer ~vdso:false () with
-    | Error e -> failwith (Printf.sprintf "offline server spawn failed: %d" e)
-    | Ok _ -> ());
-    wait_for_listener w port;
-    (match client_for spec ~rounds:3 with
-    | Some client -> ignore (drive_client w ~client)
-    | None -> ());
-    kill_everything w);
+    offline_server w ~path ~port ~client:(Option.get (client_for spec ~rounds:3)));
   K23.seal_logs w
 
 (** One measurement: requests/sec for servers, elapsed cycles for

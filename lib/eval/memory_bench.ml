@@ -7,9 +7,6 @@
 open K23_kernel
 open K23_userland
 module Apps = K23_apps
-module Zp = K23_baselines.Zpoline
-module Lp = K23_baselines.Lazypoline
-module K23 = K23_core.K23
 
 type entry = {
   system : string;
@@ -18,43 +15,33 @@ type entry = {
   note : string;
 }
 
-let run () =
+(** Run ls to completion under [mech] and read its check state's
+    [footprint] (reserved, resident bytes). *)
+let measure (mech, footprint, note) =
   let path = Apps.Coreutils.path "ls" in
-  let zp =
-    let w = Sim.create_world () in
-    Apps.Coreutils.register_all w;
-    match Zp.launch w ~variant:Zp.Ultra ~path () with
-    | Error e -> failwith (string_of_int e)
-    | Ok (p, _) ->
-      World.run_until_exit w p;
-      let reserved, resident = Zp.check_memory_bytes p in
-      { system = "zpoline-ultra"; reserved_bytes = reserved; resident_bytes = resident;
-        note = "bitmap over the whole address space" }
-  in
-  let lp =
-    let w = Sim.create_world () in
-    Apps.Coreutils.register_all w;
-    match Lp.launch w ~path () with
-    | Error e -> failwith (string_of_int e)
-    | Ok (p, _) ->
-      World.run_until_exit w p;
-      { system = "lazypoline"; reserved_bytes = 0; resident_bytes = 0;
-        note = "no state, but also no check (P4a unhandled)" }
-  in
-  let k23 =
-    let w = Sim.create_world () in
-    Apps.Coreutils.register_all w;
-    ignore (K23.offline_run w ~path ());
-    K23.seal_logs w;
-    match K23.launch w ~variant:K23.Ultra ~path () with
-    | Error e -> failwith (string_of_int e)
-    | Ok (p, _) ->
-      World.run_until_exit w p;
-      let b = K23.check_memory_bytes p in
-      { system = "K23-ultra"; reserved_bytes = b; resident_bytes = b;
-        note = "Robin-Hood hash set bounded by the offline logs" }
-  in
-  [ zp; lp; k23 ]
+  let w = Sim.create_world () in
+  Apps.Coreutils.register_all w;
+  Mech.prologue mech w ~path;
+  match Mech.launch mech w ~path () with
+  | Error e -> failwith (string_of_int e)
+  | Ok (p, _) ->
+    World.run_until_exit w p;
+    let reserved_bytes, resident_bytes = footprint p in
+    { system = Mech.to_string mech; reserved_bytes; resident_bytes; note }
+
+let run () =
+  List.map measure
+    [
+      ( Mech.Zpoline_ultra,
+        K23_baselines.Zpoline.check_memory_bytes,
+        "bitmap over the whole address space" );
+      (Mech.Lazypoline, (fun _ -> (0, 0)), "no state, but also no check (P4a unhandled)");
+      ( Mech.K23_ultra,
+        (fun p ->
+          let b = K23_core.K23.check_memory_bytes p in
+          (b, b)),
+        "Robin-Hood hash set bounded by the offline logs" );
+    ]
 
 let render entries =
   let buf = Buffer.create 256 in

@@ -34,16 +34,21 @@ let app_items n =
 let lo_iters = 2_000
 let hi_iters = 12_000
 
+(** Install the stress app with [iters] iterations at {!app_path}.
+    When [mech] needs K23's offline phase, it runs first, on a short
+    [offline_iters] build of the same binary, and the logs are sealed. *)
+let install w ~mech ~iters ~offline_iters =
+  let register n = ignore (Sim.register_app w ~path:app_path (app_items n)) in
+  if Mech.needs_offline mech then begin
+    register offline_iters;
+    ignore (K23_core.K23.offline_run w ~path:app_path ());
+    K23_core.K23.seal_logs w
+  end;
+  register iters
+
 let run_one ~mech ~seed ~iters =
   let w = Sim.create_world ~seed () in
-  ignore (Sim.register_app w ~path:app_path (app_items iters));
-  if Mech.needs_offline mech then begin
-    (* offline phase on a short run of the same binary *)
-    ignore (Sim.register_app w ~path:app_path (app_items 200));
-    ignore (K23_core.K23.offline_run w ~path:app_path ());
-    K23_core.Log_store.seal w;
-    ignore (Sim.register_app w ~path:app_path (app_items iters))
-  end;
+  install w ~mech ~iters ~offline_iters:200;
   match Mech.launch mech w ~path:app_path () with
   | Error e -> failwith (Printf.sprintf "micro: launch %s failed (%d)" (Mech.to_string mech) e)
   | Ok (p, _stats) ->

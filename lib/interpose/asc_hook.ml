@@ -206,12 +206,5 @@ let image ~handler ~stats () : image =
     im_owner = Interposer;
   }
 
-let launch w ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w "mech:asc-hook";
-  let stats = fresh_stats () in
-  let handler = counting_handler ?inner stats in
-  register_library w (image ~handler ~stats ());
-  let env = add_preload env lib_path in
-  match World.spawn w ~path ?argv ~env () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+let launch w ?inner ~path ?argv ?env () =
+  launch_preloaded w ~annot:"mech:asc-hook" ~lib_path ~image ?inner ~path ?argv ?env ()

@@ -66,6 +66,19 @@ let add_preload env path =
   in
   go [] false env
 
+(** The one launch recipe of every preload interposer: annotate the
+    trace with [annot], wrap [inner] in a counting handler, register
+    the interposer image built from that handler, and spawn [path]
+    with [lib_path] on LD_PRELOAD.  Returns the process and the
+    shared statistics. *)
+let launch_preloaded w ~annot ~lib_path ~image ?inner ~path ?argv ?(env = []) () =
+  ktrace_annot w annot;
+  let stats = fresh_stats () in
+  let handler = counting_handler ?inner stats in
+  register_library w (image ~handler ~stats ());
+  World.spawn w ~path ?argv ~env:(add_preload env lib_path) ()
+  |> Result.map (fun p -> (p, stats))
+
 (* ------------------------------------------------------------------ *)
 (* Configuration shared by trampoline and SIGSYS paths                 *)
 

@@ -124,7 +124,6 @@ and counters = {
   mutable c_startup : int;  (** app syscalls before the preload library initialised *)
   mutable c_vdso : int;  (** vdso fast-path calls that bypassed the kernel *)
   mutable c_sigsys : int;  (** SIGSYS deliveries *)
-  c_by_nr : (int, int) Hashtbl.t;
 }
 
 and tracer = {
@@ -298,7 +297,6 @@ let fresh_counters () =
     c_startup = 0;
     c_vdso = 0;
     c_sigsys = 0;
-    c_by_nr = Hashtbl.create 32;
   }
 
 let new_proc w ~parent ~cmd =
@@ -809,7 +807,6 @@ let note_syscall (w : world) (th : thread) ~nr ~site ~args =
       c.c_startup <- c.c_startup + 1;
       ktrace_count w "sys.startup"
     end;
-    Hashtbl.replace c.c_by_nr nr (1 + Option.value ~default:0 (Hashtbl.find_opt c.c_by_nr nr));
     ktrace_count w ("sys.nr." ^ string_of_int nr));
   match w.ktrace with
   | None -> ()
@@ -1104,7 +1101,11 @@ let step_thread (w : world) (th : thread) =
     | Cpu.Int3_trap addr ->
       emit_trap_event w th trap (K23_obs.Event.Fault { access = "BP"; addr; rip = th.regs.rip });
       deliver_signal w th ~signo:sigtrap ~sysno:0 ~site:addr ~args:[||]
-    | Cpu.Hlt_trap addr -> panic "pid %d: hlt at %x" th.t_proc.pid addr)
+    | Cpu.Hlt_trap addr ->
+      (* hlt is privileged: in ring 3 it raises #GP, which Linux turns
+         into SIGSEGV *)
+      emit_trap_event w th trap (K23_obs.Event.Fault { access = "GP"; addr; rip = th.regs.rip });
+      deliver_signal w th ~signo:sigsegv ~sysno:0 ~site:addr ~args:[||])
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                           *)

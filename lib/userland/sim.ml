@@ -31,27 +31,8 @@ let create_world ?isa ?ncores ?quantum ?seed ?aslr ?cost ?ktrace ?predecode () =
   create_world_cfg
     (World.Config.make ?isa ?ncores ?quantum ?seed ?aslr ?cost ?ktrace ?predecode ())
 
-(** Define and register an application binary.
-
-    [items] is the program text/data (entry symbol ["main"] unless
-    overridden); [needed] defaults to libc. *)
-let register_app w ~path ?(needed = [ Libc.path ]) ?(entry = "main") ?init
-    ?(host_fns = []) items =
-  let im : Kern.image =
-    {
-      im_name = path;
-      im_prog = K23_isa.Asm.assemble items;
-      im_host_fns = host_fns;
-      im_init = init;
-      im_entry = Some entry;
-      im_needed = needed;
-      im_owner = App;
-    }
-  in
-  Kern.register_library w im;
-  im
-
-(** {!register_app} for an already-assembled program — the seam that
+(** Define and register an application binary from an assembled
+    program (entry symbol ["main"] unless overridden) — the seam that
     keeps this module ISA-agnostic: ARM callers assemble their items
     with [K23_isa_arm.Asm_arm.assemble] (the userland layer has no
     backend dependency) and register the resulting neutral program.
@@ -73,6 +54,11 @@ let register_app_prog w ~path ?(needed = []) ?(entry = "main") ?init ?(host_fns 
   in
   Kern.register_library w im;
   im
+
+(** {!register_app_prog} for x86 assembly [items]; [needed] defaults
+    to libc. *)
+let register_app w ~path ?(needed = [ Libc.path ]) ?entry ?init ?host_fns items =
+  register_app_prog w ~path ~needed ?entry ?init ?host_fns (K23_isa.Asm.assemble items)
 
 (** Spawn + run to completion; returns the process. *)
 let run_to_exit ?max_steps w ~path ?argv ?env () =

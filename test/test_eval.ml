@@ -34,6 +34,18 @@ let test_table2_counts_match_paper () =
       Alcotest.(check int) name expected (OC.coreutil_sites name))
     OC.coreutil_expected
 
+(* the server rows count offline sites with the vdso mapped (one fewer
+   site for the web servers than K23's vdso-off offline phase) *)
+let test_table2_server_counts () =
+  List.iter
+    (fun (name, spec, expected) -> Alcotest.(check int) name expected (OC.app_spec_sites spec))
+    [
+      ("sqlite", K23_eval.Macro.sqlite, 20);
+      ("nginx", K23_eval.Macro.nginx ~workers:1 ~kb:0, 43);
+      ("lighttpd", K23_eval.Macro.lighttpd ~workers:1 ~kb:0, 44);
+      ("redis", K23_eval.Macro.redis ~io_threads:1, 92);
+    ]
+
 (* the single mechanism-name registry: every variant round-trips
    through its canonical name, the short aliases resolve, and parsing
    is case-insensitive *)
@@ -72,6 +84,7 @@ let tests =
     [
       Alcotest.test_case "Table 5 ordering" `Slow test_table5_ordering;
       Alcotest.test_case "Table 2 coreutil counts" `Slow test_table2_counts_match_paper;
+      Alcotest.test_case "Table 2 server counts" `Slow test_table2_server_counts;
       Alcotest.test_case "Figure 3 log format" `Quick test_fig3_format;
       Alcotest.test_case "Mech name registry round-trip" `Quick test_mech_roundtrip;
     ] )

@@ -227,6 +227,12 @@ let test_sud_selector_and_allowlist () =
 
 (* ---------------- stats helpers ---------------- *)
 
+(* hlt is privileged: in user mode it is a #GP, delivered as SIGSEGV,
+   never a host-side panic *)
+let test_user_hlt_segv () =
+  let _, p = run_app [ Asm.Label "main"; Asm.I Insn.Hlt ] in
+  Alcotest.(check (option int)) "killed by SIGSEGV" (Some 11) p.Kern.term_signal
+
 let test_stats_drop_outliers () =
   let open K23_util.Stats in
   Alcotest.(check (list (float 0.001))) "drops min and max" [ 2.0; 3.0 ]
@@ -249,5 +255,6 @@ let tests =
       Alcotest.test_case "heap allocation" `Quick test_brk_and_heap;
       Alcotest.test_case "/proc/self/maps" `Quick test_proc_maps_readable;
       Alcotest.test_case "SUD selector + allowlist" `Quick test_sud_selector_and_allowlist;
+      Alcotest.test_case "user-mode hlt is SIGSEGV" `Quick test_user_hlt_segv;
       Alcotest.test_case "stats helpers" `Quick test_stats_drop_outliers;
     ] )
