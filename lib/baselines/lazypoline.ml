@@ -141,10 +141,8 @@ let image ~handler ~stats () : image =
     @ [ Asm.Section `Data; Asm.Label "lp_selector"; Asm.Zeros 64 ]
   in
   let im =
-    {
-      im_name = lib_path;
-      im_prog = Asm.assemble items;
-      im_host_fns =
+    make_image ~name:lib_path ~owner:Interposer ~init:"__lazypoline_init"
+      ~host_fns:
         [
           ("lp_init", init);
           ("lp_rw1", rw_step1 states);
@@ -152,12 +150,8 @@ let image ~handler ~stats () : image =
           ("lp_rw2", rw_step2 states);
           ("sigsys_pre", sigsys_pre cfg ~im:lazy_im ());
           ("sigsys_post", sigsys_post cfg);
-        ];
-      im_init = Some "__lazypoline_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
-    }
+        ]
+      (Asm.assemble items)
   in
   im_ref := Some im;
   im

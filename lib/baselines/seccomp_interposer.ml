@@ -69,20 +69,14 @@ let image ?(isa = Isa.X86_64) ~handler ~stats () : image =
         @ sigsys_handler_items_arm ())
   in
   let im =
-    {
-      im_name = lib_path;
-      im_prog = prog;
-      im_host_fns =
+    make_image ~name:lib_path ~owner:Interposer ~init:"__seccomp_init"
+      ~host_fns:
         [
           ("sc_init", init);
           ("sigsys_pre", sigsys_pre cfg ~im:lazy_im ());
           ("sigsys_post", sigsys_post cfg);
-        ];
-      im_init = Some "__seccomp_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
-    }
+        ]
+      prog
   in
   im_ref := Some im;
   im
@@ -98,22 +92,15 @@ let launch w ?inner ~path ?argv ?env () =
 let launch_filter_only w ~filters ~path ?argv ?(env = []) () =
   ktrace_annot w "mech:seccomp-filter";
   let im : image =
-    {
-      im_name = "/usr/lib/libseccomp-policy.so";
-      im_prog =
-        Asm.assemble [ Asm.Label "__policy_init"; Asm.Vcall_named "pol_init"; Asm.I Insn.Ret ];
-      im_host_fns =
+    make_image ~name:"/usr/lib/libseccomp-policy.so" ~owner:Interposer ~init:"__policy_init"
+      ~host_fns:
         [
           ( "pol_init",
             fun ctx ->
               List.iter (seccomp_install ctx.thread.t_proc) filters;
               charge ctx.world ctx.thread (600 * List.length filters) );
-        ];
-      im_init = Some "__policy_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
-    }
+        ]
+      (Asm.assemble [ Asm.Label "__policy_init"; Asm.Vcall_named "pol_init"; Asm.I Insn.Ret ])
   in
   register_library w im;
   let env = add_preload env im.im_name in

@@ -53,20 +53,14 @@ let image ?(interpose_on = true) ?(isa = Isa.X86_64) ~handler ~stats () : image 
         @ [ A.Section `Data; A.Label "sud_selector"; A.Zeros 64 ])
   in
   let im =
-    {
-      im_name = lib_path;
-      im_prog = prog;
-      im_host_fns =
+    make_image ~name:lib_path ~owner:Interposer ~init:"__sud_init"
+      ~host_fns:
         [
           ("sud_init", init);
           ("sigsys_pre", sigsys_pre cfg ~im:lazy_im ());
           ("sigsys_post", sigsys_post cfg);
-        ];
-      im_init = Some "__sud_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
-    }
+        ]
+      prog
   in
   im_ref := Some im;
   im

@@ -110,15 +110,9 @@ let image ~variant ~handler ~stats () : image =
       Asm.I Insn.Ret;
     ]
   in
-  {
-    im_name = lib_path;
-    im_prog = Asm.assemble items;
-    im_host_fns = [ ("zp_init", init ~variant cfg) ];
-    im_init = Some "__zpoline_init";
-    im_entry = None;
-    im_needed = [];
-    im_owner = Interposer;
-  }
+  make_image ~name:lib_path ~owner:Interposer ~init:"__zpoline_init"
+    ~host_fns:[ ("zp_init", init ~variant cfg) ]
+    (Asm.assemble items)
 
 (** Launch [path] under zpoline.  Returns the process and the shared
     interposition statistics. *)

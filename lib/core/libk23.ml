@@ -176,22 +176,16 @@ let image ~variant ~handler ~stats () : image =
       ]
   in
   let im =
-    {
-      im_name = lib_path;
-      im_prog = Asm.assemble items;
-      im_host_fns =
+    make_image ~name:lib_path ~owner:Interposer ~init:"__k23_init"
+      ~host_fns:
         [
           ("k23_init1", fun ctx -> init1 cfg ~lazy_im ctx);
           ("k23_init2", fun ctx -> init2 ~lazy_im ctx);
           ("k23_init3", init3 cfg);
           ("sigsys_pre", sigsys_pre cfg ~im:lazy_im ());
           ("sigsys_post", sigsys_post cfg);
-        ];
-      im_init = Some "__k23_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
-    }
+        ]
+      (Asm.assemble items)
   in
   im_ref := Some im;
   im

@@ -85,20 +85,14 @@ let image ~stats () : image =
     @ [ Asm.Section `Data; Asm.Label "logger_selector"; Asm.Zeros 64 ]
   in
   let im =
-    {
-      im_name = lib_path;
-      im_prog = Asm.assemble items;
-      im_host_fns =
+    make_image ~name:lib_path ~owner:Interposer ~init:"__logger_init"
+      ~host_fns:
         [
           ("logger_init", init);
           ("sigsys_pre", sigsys_pre cfg ~im:lazy_im ~on_sigsys:log_site ());
           ("sigsys_post", sigsys_post cfg);
-        ];
-      im_init = Some "__logger_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
-    }
+        ]
+      (Asm.assemble items)
   in
   im_ref := Some im;
   im

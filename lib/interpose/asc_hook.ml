@@ -122,26 +122,20 @@ let install_slab (ctx : ctx) (cfg : config) ~region_name sites =
       word 12 (Arm.B ((site + 4 - (slot + 12)) asr 2)))
     sites;
   let im =
-    {
-      im_name = Printf.sprintf "[asc-slab:%s]" region_name;
-      im_prog =
-        {
-          Asm.text;
-          data = Bytes.create 0;
-          symbols = [];
-          relocs = [];
-          vcalls = [ "asc_pre"; "asc_post" ];
-        };
-      im_host_fns = [ ("asc_pre", asc_pre); ("asc_post", asc_post) ];
-      im_init = None;
-      im_entry = None;
-      im_needed = [];
-      im_owner = Trampoline;
-    }
+    make_image
+      ~name:(Printf.sprintf "[asc-slab:%s]" region_name)
+      ~owner:Trampoline
+      ~host_fns:[ ("asc_pre", asc_pre); ("asc_post", asc_post) ]
+      {
+        Asm.text = Bytes.to_string text;
+        data = "";
+        symbols = [];
+        relocs = [];
+        vcalls = [ "asc_pre"; "asc_post" ];
+      }
   in
   let len = Memory.align_up (Bytes.length text) in
-  Memory.map p.mem ~addr:base ~len ~perm:Memory.perm_rx;
-  Memory.write_bytes_raw p.mem base text;
+  Memory.map_segment p.mem ~addr:base ~len ~perm:Memory.perm_rx im.im_text;
   add_region p
     {
       r_start = base;
@@ -196,15 +190,9 @@ let image ~handler ~stats () : image =
   let module A = K23_isa_arm.Asm_arm in
   let cfg = make_config ~handler ~stats in
   let items = [ A.Label "__asc_init"; A.Vcall_named "asc_init"; A.I Arm.Ret ] in
-  {
-    im_name = lib_path;
-    im_prog = A.assemble items;
-    im_host_fns = [ ("asc_init", fun ctx -> patch_all ctx cfg) ];
-    im_init = Some "__asc_init";
-    im_entry = None;
-    im_needed = [];
-    im_owner = Interposer;
-  }
+  make_image ~name:lib_path ~owner:Interposer ~init:"__asc_init"
+    ~host_fns:[ ("asc_init", fun ctx -> patch_all ctx cfg) ]
+    (A.assemble items)
 
 let launch w ?inner ~path ?argv ?env () =
   launch_preloaded w ~annot:"mech:asc-hook" ~lib_path ~image ?inner ~path ?argv ?env ()

@@ -176,15 +176,11 @@ let trampoline_image (cfg : config) : image =
       Asm.I Insn.Ret;
     ]
   in
-  {
-    im_name = "[trampoline:" ^ cfg.cfg_name ^ "]";
-    im_prog = Asm.assemble items;
-    im_host_fns = [ ("tramp_pre", tramp_pre cfg); ("tramp_post", tramp_post cfg) ];
-    im_init = None;
-    im_entry = None;
-    im_needed = [];
-    im_owner = Trampoline;
-  }
+  make_image
+    ~name:("[trampoline:" ^ cfg.cfg_name ^ "]")
+    ~owner:Trampoline
+    ~host_fns:[ ("tramp_pre", tramp_pre cfg); ("tramp_post", tramp_post cfg) ]
+    (Asm.assemble items)
 
 (** Map the trampoline at virtual address 0 and protect it as
     eXecute-Only Memory via PKU: data reads/writes to page 0 still
@@ -193,10 +189,8 @@ let install_trampoline (ctx : ctx) (cfg : config) =
   let p = ctx.thread.t_proc in
   let w = ctx.world in
   let im = trampoline_image cfg in
-  let text = im.im_prog.Asm.text in
-  let len = Memory.align_up (Bytes.length text) in
-  Memory.map p.mem ~addr:0 ~len ~perm:Memory.perm_rx;
-  Memory.write_bytes_raw p.mem 0 text;
+  let len = Memory.align_up (String.length im.im_prog.Asm.text) in
+  Memory.map_segment p.mem ~addr:0 ~len ~perm:Memory.perm_rx im.im_text;
   add_region p
     {
       r_start = 0;

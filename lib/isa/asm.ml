@@ -35,8 +35,8 @@ type reloc = { reloc_section : section; reloc_offset : int; reloc_symbol : strin
     address of [reloc_symbol] at load time. *)
 
 type program = {
-  text : Bytes.t;
-  data : Bytes.t;
+  text : string;
+  data : string;
   symbols : (string * (section * int)) list;  (** label -> (section, offset) *)
   relocs : reloc list;
   vcalls : string list;  (** host-function names in local-index order *)
@@ -154,4 +154,11 @@ let assemble (items : item list) : program =
         relocs := { reloc_section = sec; reloc_offset = here + 2; reloc_symbol = name } :: !relocs
       | Vcall_named name -> put sec here (Encode.to_bytes (Vcall (vcall_index name))))
     layout;
-  { text; data; symbols = List.rev !symbols; relocs = List.rev !relocs; vcalls = !vcalls }
+  (* the buffers are local and dead from here on *)
+  {
+    text = Bytes.unsafe_to_string text;
+    data = Bytes.unsafe_to_string data;
+    symbols = List.rev !symbols;
+    relocs = List.rev !relocs;
+    vcalls = !vcalls;
+  }

@@ -28,8 +28,8 @@ type reloc = { reloc_section : section; reloc_offset : int; reloc_symbol : strin
     time. *)
 
 type program = {
-  text : Bytes.t;
-  data : Bytes.t;
+  text : string;  (** immutable once assembled: loaders map it copy-on-write *)
+  data : string;
   symbols : (string * (section * int)) list;
   relocs : reloc list;
   vcalls : string list;  (** host-function names in local-index order *)

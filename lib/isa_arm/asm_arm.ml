@@ -156,8 +156,8 @@ let assemble (items : item list) : Asm.program =
       | Vcall_named name -> emit sec here (Arm.Vcall (vcall_index name)))
     layout;
   {
-    Asm.text;
-    data;
+    Asm.text = Bytes.unsafe_to_string text;
+    data = Bytes.unsafe_to_string data;
     symbols = List.rev !symbols;
     relocs = List.rev !relocs;
     vcalls = !vcalls;

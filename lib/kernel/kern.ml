@@ -50,6 +50,8 @@ type region = {
 and image = {
   im_name : string;  (** full path, e.g. "/usr/lib/x86_64-linux-gnu/libc.so.6" *)
   im_prog : K23_isa.Asm.program;
+  im_text : Memory.segment;  (** [im_prog.text] as shared pages, built with the image *)
+  im_data : Memory.segment;
   im_host_fns : (string * hostfn) list;
   im_init : string option;  (** constructor symbol run by the loader *)
   im_entry : string option;  (** entry symbol (executables) *)
@@ -281,6 +283,22 @@ let create_world ?(isa = K23_isa.Isa.X86_64) ?(ncores = 12) ?(quantum = 64) ?(se
     faults = None;
     fault_ticks = Hashtbl.create 16;
     replay_exit = None;
+  }
+
+(** The one image constructor: it builds the sections' page sets once,
+    so every process that maps the image shares them copy-on-write. *)
+let make_image ~name ~owner ?(host_fns = []) ?init ?entry ?(needed = [])
+    (prog : K23_isa.Asm.program) =
+  {
+    im_name = name;
+    im_prog = prog;
+    im_text = Memory.segment_of_string prog.text;
+    im_data = Memory.segment_of_string prog.data;
+    im_host_fns = host_fns;
+    im_init = init;
+    im_entry = entry;
+    im_needed = needed;
+    im_owner = owner;
   }
 
 let register_library w (im : image) =

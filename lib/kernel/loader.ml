@@ -101,9 +101,14 @@ let ldso_path_for = function
   | K23_isa.Isa.X86_64 -> ldso_path
   | K23_isa.Isa.Arm64 -> ldso_path_arm
 
-let ldso_image () : image =
-  let prog =
-    Asm.assemble
+(* The interpreter and vdso images below are built once, at module
+   initialisation, and shared read-only by every world, process and
+   domain; their host functions keep all state in [p.pstates]. *)
+let ldso_image : image =
+  make_image ~name:ldso_path ~owner:Ldso
+    ~host_fns:[ ("ldso_step", ldso_step); ("ldso_ret", ldso_ret) ]
+    ~entry:"_start"
+    (Asm.assemble
       [
         Label "_start";
         Label "loop";
@@ -121,26 +126,18 @@ let ldso_image () : image =
         J "loop";
         Label "enter_main";
         I (Jmp_reg R12);
-      ]
-  in
-  {
-    im_name = ldso_path;
-    im_prog = prog;
-    im_host_fns = [ ("ldso_step", ldso_step); ("ldso_ret", ldso_ret) ];
-    im_init = None;
-    im_entry = Some "_start";
-    im_needed = [];
-    im_owner = Ldso;
-  }
+      ])
 
 (** The same interpreter loop, compiled for AArch64: dispatch flag in
     x19, branch target in x20, the syscall gadget a real [svc #0] in
     the interpreter's own text (P2b fidelity: all pre-preload startup
     syscalls execute as genuine trapping instructions on ARM too). *)
-let ldso_image_arm () : image =
+let ldso_image_arm : image =
   let open K23_isa_arm in
-  let prog =
-    Asm_arm.assemble
+  make_image ~name:ldso_path_arm ~owner:Ldso
+    ~host_fns:[ ("ldso_step", ldso_step); ("ldso_ret", ldso_ret) ]
+    ~entry:"_start"
+    (Asm_arm.assemble
       [
         Asm_arm.Label "_start";
         Asm_arm.Label "loop";
@@ -158,17 +155,7 @@ let ldso_image_arm () : image =
         Asm_arm.J "loop";
         Asm_arm.Label "enter_main";
         Asm_arm.I (Arm.Br 20);
-      ]
-  in
-  {
-    im_name = ldso_path_arm;
-    im_prog = prog;
-    im_host_fns = [ ("ldso_step", ldso_step); ("ldso_ret", ldso_ret) ];
-    im_init = None;
-    im_entry = Some "_start";
-    im_needed = [];
-    im_owner = Ldso;
-  }
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* vdso                                                                *)
@@ -189,40 +176,21 @@ let vdso_clock_gettime (ctx : ctx) =
   (try Memory.write_u64_raw p.mem (Regs.geti th.regs arg1) ns with Memory.Fault _ -> ());
   Regs.set th.regs RAX 0
 
-let vdso_image () : image =
-  let prog =
-    Asm.assemble
-      [ Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I Ret ]
-  in
-  {
-    im_name = vdso_name;
-    im_prog = prog;
-    im_host_fns = [ ("vdso_clock_gettime", vdso_clock_gettime) ];
-    im_init = None;
-    im_entry = None;
-    im_needed = [];
-    im_owner = Vdso;
-  }
+let vdso_image : image =
+  make_image ~name:vdso_name ~owner:Vdso
+    ~host_fns:[ ("vdso_clock_gettime", vdso_clock_gettime) ]
+    (Asm.assemble [ Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I Ret ])
 
-let vdso_image_arm () : image =
+let vdso_image_arm : image =
   let open K23_isa_arm in
-  let prog =
-    Asm_arm.assemble
-      [
-        Asm_arm.Label "__vdso_clock_gettime";
-        Asm_arm.Vcall_named "vdso_clock_gettime";
-        Asm_arm.I Arm.Ret;
-      ]
-  in
-  {
-    im_name = vdso_name;
-    im_prog = prog;
-    im_host_fns = [ ("vdso_clock_gettime", vdso_clock_gettime) ];
-    im_init = None;
-    im_entry = None;
-    im_needed = [];
-    im_owner = Vdso;
-  }
+  make_image ~name:vdso_name ~owner:Vdso
+    ~host_fns:[ ("vdso_clock_gettime", vdso_clock_gettime) ]
+    (Asm_arm.assemble
+       [
+         Asm_arm.Label "__vdso_clock_gettime";
+         Asm_arm.Vcall_named "vdso_clock_gettime";
+         Asm_arm.I Arm.Ret;
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Dependency resolution                                               *)
@@ -296,10 +264,10 @@ let lib_ops (w : world) (p : proc) ~buf path =
   let sys nr make_args post = Op_sys { nr; make_args; post } in
   let lib = find_library w path in
   let text_len =
-    match lib with Some i -> max 1 (Bytes.length i.im_prog.Asm.text) | None -> 0
+    match lib with Some i -> max 1 (String.length i.im_prog.Asm.text) | None -> 0
   in
   let data_len =
-    match lib with Some i -> Bytes.length i.im_prog.Asm.data | None -> 0
+    match lib with Some i -> String.length i.im_prog.Asm.data | None -> 0
   in
   [
     (* glibc-hwcaps probes: fail with ENOENT like on a real system *)

@@ -33,12 +33,12 @@ let map_image_section (w : world) (p : proc) (im : image) ~section =
       b
     end
   in
-  let bytes, perm, sec =
+  let contents, seg, perm, sec =
     match section with
-    | `Text -> (prog.K23_isa.Asm.text, Memory.perm_rx, `Text)
-    | `Data -> (prog.K23_isa.Asm.data, Memory.perm_rw, `Data)
+    | `Text -> (prog.K23_isa.Asm.text, im.im_text, Memory.perm_rx, `Text)
+    | `Data -> (prog.K23_isa.Asm.data, im.im_data, Memory.perm_rw, `Data)
   in
-  let len = max 1 (Bytes.length bytes) in
+  let len = max 1 (String.length contents) in
   let already =
     match (existing, section) with
     | Some (t, _), `Text when t <> 0 || im.im_owner = App -> Some t
@@ -49,8 +49,7 @@ let map_image_section (w : world) (p : proc) (im : image) ~section =
   | Some b -> b
   | None ->
     let base = pick_base len in
-    Memory.map p.mem ~addr:base ~len ~perm;
-    Memory.write_bytes_raw p.mem base bytes;
+    Memory.map_segment p.mem ~addr:base ~len ~perm seg;
     add_region p
       {
         r_start = base;
@@ -79,7 +78,7 @@ let map_image_section (w : world) (p : proc) (im : image) ~section =
 let map_image (w : world) (p : proc) (im : image) =
   let t = map_image_section w p im ~section:`Text in
   let d =
-    if Bytes.length im.im_prog.K23_isa.Asm.data > 0 then
+    if String.length im.im_prog.K23_isa.Asm.data > 0 then
       map_image_section w p im ~section:`Data
     else 0
   in

@@ -55,11 +55,11 @@ let wire (w : world) (cfg : Config.t) =
   w.execve_impl <- Some Loader.do_execve;
   (match cfg.isa with
   | K23_isa.Isa.X86_64 ->
-    register_library w (Loader.ldso_image ());
-    register_library w (Loader.vdso_image ())
+    register_library w Loader.ldso_image;
+    register_library w Loader.vdso_image
   | K23_isa.Isa.Arm64 ->
-    register_library w (Loader.ldso_image_arm ());
-    register_library w (Loader.vdso_image_arm ()));
+    register_library w Loader.ldso_image_arm;
+    register_library w Loader.vdso_image_arm);
   List.iter
     (fun d -> ignore (Vfs.mkdir_p w.vfs d))
     [ "/bin"; "/usr/lib"; "/etc"; "/tmp"; "/home/user"; "/k23" ];

@@ -38,8 +38,9 @@ type fault = { fault_addr : int; access : access }
 exception Fault of fault
 
 (* A [cow] page's buffer may be shared — with the zero page (fresh
-   mappings) or with a [clone] (fork) — so every write path calls [own]
-   first, which gives the page a private copy; reads never copy. *)
+   mappings), an image {!segment} or a [clone] (fork) — so every write
+   path calls [own] first, which gives the page a private copy; reads
+   never copy. *)
 type page = { mutable bytes : Bytes.t; mutable cow : bool; mutable perm : perm; mutable pkey : int }
 
 type t = {
@@ -114,12 +115,26 @@ let is_mapped t addr = Hashtbl.mem t.pages (page_index addr)
 
 let find_page t addr = Hashtbl.find_opt t.pages (page_index addr)
 
-(** [map t ~addr ~len ~perm] maps (and commits) pages covering
-    [addr, addr+len).  [addr] must be page-aligned.  Already-mapped
-    pages in the range are remapped fresh (MAP_FIXED semantics) and
-    are not counted again.  New pages share {!zero_page} until their
-    first write. *)
-let map ?(pkey = 0) t ~addr ~len ~perm =
+(* An image section as page buffers, built once and then only ever
+   read: pages mapped from it are [cow], so a write copies first.  Its
+   all-zero pages are {!zero_page} itself; the last page is padded with
+   zeros. *)
+type segment = Bytes.t array
+
+let segment_of_string s =
+  let len = String.length s in
+  Array.init ((len + page_size - 1) / page_size) (fun i ->
+      let off = i * page_size in
+      let b = Bytes.make page_size '\000' in
+      Bytes.blit_string s off b 0 (min page_size (len - off));
+      if Bytes.equal b zero_page then zero_page else b)
+
+(** [map_segment t ~addr ~len ~perm seg] maps (and commits) pages
+    covering [addr, addr+len); [addr] must be page-aligned.  Page [i]
+    shares [seg]'s [i]th buffer, or {!zero_page} past its end, until
+    its first write.  Already-mapped pages in the range are remapped
+    fresh (MAP_FIXED semantics) and are not counted again. *)
+let map_segment ?(pkey = 0) t ~addr ~len ~perm (seg : segment) =
   if addr land (page_size - 1) <> 0 then invalid_arg "Memory.map: unaligned addr";
   if len <= 0 then invalid_arg "Memory.map: bad length";
   let npages = (align_up len) lsr page_shift in
@@ -129,9 +144,12 @@ let map ?(pkey = 0) t ~addr ~len ~perm =
       t.committed_bytes <- t.committed_bytes + page_size;
       t.reserved_bytes <- t.reserved_bytes + page_size
     end;
-    Hashtbl.replace t.pages idx { bytes = zero_page; cow = true; perm; pkey }
+    let bytes = if i < Array.length seg then seg.(i) else zero_page in
+    Hashtbl.replace t.pages idx { bytes; cow = true; perm; pkey }
   done;
   tlb_flush t
+
+let map ?pkey t ~addr ~len ~perm = map_segment ?pkey t ~addr ~len ~perm [||]
 
 (** Record a virtual-only reservation (MAP_NORESERVE): no pages are
     committed, but the reservation is accounted, so the P4b bench can

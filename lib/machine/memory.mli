@@ -56,6 +56,20 @@ val map : ?pkey:int -> t -> addr:int -> len:int -> perm:perm -> unit
     zeros again and are not counted twice.  New pages share one
     read-only zero page until their first write. *)
 
+type segment
+(** An immutable image section held as page buffers: built once from a
+    string, then shared copy-on-write by every memory that maps it,
+    in any domain.  All-zero pages are the shared zero page. *)
+
+val segment_of_string : string -> segment
+
+val map_segment : ?pkey:int -> t -> addr:int -> len:int -> perm:perm -> segment -> unit
+(** {!map}, with page [i] of the range sharing the segment's [i]th page
+    buffer (the zero page past its end) until its first write.  With
+    [len] at least the string's length, reads and accounting are
+    exactly those of {!map} followed by {!write_bytes_raw} of the
+    string. *)
+
 val reserve : t -> len:int -> unit
 (** Virtual-only reservation (MAP_NORESERVE): accounted, not
     committed. *)

@@ -331,16 +331,11 @@ let host_fns =
     ("libc_dlsym", libc_dlsym);
   ]
 
-let image () : image =
-  {
-    im_name = path;
-    im_prog = Asm.assemble items;
-    im_host_fns = host_fns;
-    im_init = Some "__libc_init";
-    im_entry = None;
-    im_needed = [];
-    im_owner = Libc;
-  }
+(* Built once, at module initialisation, and shared read-only by every
+   world, process and domain: the host functions keep all per-process
+   state in [p.pstates]. *)
+let image : image =
+  make_image ~name:path ~owner:Libc ~host_fns ~init:"__libc_init" (Asm.assemble items)
 
 (** Byte offset of the [syscall] instruction inside a wrapper, from the
     wrapper's symbol: used by tests to compute expected sites. *)

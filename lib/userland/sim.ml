@@ -6,8 +6,8 @@ open K23_kernel
 (* Userland registration on top of the kernel wiring — shared verbatim
    by the fresh-create and in-place-reset paths. *)
 let populate w =
-  Kern.register_library w (Libc.image ());
-  List.iter (Kern.register_library w) (Stdlibs.all ());
+  Kern.register_library w Libc.image;
+  List.iter (Kern.register_library w) Stdlibs.all;
   ignore (Vfs.write_file w.vfs "/usr/lib/locale/locale-archive" (String.make 1024 'L'))
 
 (** A wired world with libc, the stub libraries, and the files the
@@ -41,17 +41,7 @@ let create_world ?isa ?ncores ?quantum ?seed ?aslr ?cost ?ktrace ?predecode () =
     startup syscalls exist on ARM too). *)
 let register_app_prog w ~path ?(needed = []) ?(entry = "main") ?init ?(host_fns = [])
     (prog : K23_isa.Asm.program) =
-  let im : Kern.image =
-    {
-      im_name = path;
-      im_prog = prog;
-      im_host_fns = host_fns;
-      im_init = init;
-      im_entry = Some entry;
-      im_needed = needed;
-      im_owner = App;
-    }
-  in
+  let im = Kern.make_image ~name:path ~owner:App ~host_fns ?init ~entry ~needed prog in
   Kern.register_library w im;
   im
 

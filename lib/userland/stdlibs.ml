@@ -27,15 +27,8 @@ let stub ~path ?(deps = []) () : Kern.image =
       Asm.I Insn.Ret;
     ]
   in
-  {
-    im_name = path;
-    im_prog = Asm.assemble items;
-    im_host_fns = [];
-    im_init = Some "__stub_init";
-    im_entry = None;
-    im_needed = deps;
-    im_owner = Lib (Filename.basename path);
-  }
+  Kern.make_image ~name:path ~owner:(Lib (Filename.basename path)) ~init:"__stub_init" ~needed:deps
+    (Asm.assemble items)
 
 let libselinux = "/usr/lib/x86_64-linux-gnu/libselinux.so.1"
 let libcap = "/usr/lib/x86_64-linux-gnu/libcap.so.2"
@@ -43,7 +36,8 @@ let libpcre = "/usr/lib/x86_64-linux-gnu/libpcre2-8.so.0"
 let libcrypto = "/usr/lib/x86_64-linux-gnu/libcrypto.so.3"
 let libz = "/usr/lib/x86_64-linux-gnu/libz.so.1"
 
-let all () =
+(* Built once and shared read-only, like libc. *)
+let all =
   [
     stub ~path:libselinux ~deps:[ libpcre ] ();
     stub ~path:libcap ();

@@ -15,7 +15,7 @@ let test_label_branches () =
       ]
   in
   (* decode the jmp at offset 10; it must skip the second 10-byte mov *)
-  match Decode.decode_bytes prog.Asm.text 10 with
+  match Decode.decode_bytes (Bytes.of_string prog.Asm.text) 10 with
   | Ok (Insn.Jmp_rel d, len) -> Alcotest.(check int) "skips mov" 10 (d + len - len)
   | _ -> Alcotest.fail "expected jmp"
 
@@ -23,7 +23,7 @@ let test_backward_branch () =
   let prog =
     Asm.assemble [ Asm.Label "top"; Asm.I Insn.Nop; Asm.J "top" ]
   in
-  match Decode.decode_bytes prog.Asm.text 1 with
+  match Decode.decode_bytes (Bytes.of_string prog.Asm.text) 1 with
   | Ok (Insn.Jmp_rel d, _) -> Alcotest.(check int) "back to top" (-6) d
   | _ -> Alcotest.fail "expected jmp"
 
@@ -40,12 +40,12 @@ let test_sections_and_symbols () =
         Asm.Strz "xy";
       ]
   in
-  Alcotest.(check int) "text size" 1 (Bytes.length prog.Asm.text);
-  Alcotest.(check int) "data size" 11 (Bytes.length prog.Asm.data);
+  Alcotest.(check int) "text size" 1 (String.length prog.Asm.text);
+  Alcotest.(check int) "data size" 11 (String.length prog.Asm.data);
   (match List.assoc "d2" prog.Asm.symbols with
   | `Data, 8 -> ()
   | _ -> Alcotest.fail "d2 at data+8");
-  Alcotest.(check char) "strz content" 'x' (Bytes.get prog.Asm.data 8)
+  Alcotest.(check char) "strz content" 'x' prog.Asm.data.[8]
 
 let test_relocs_recorded () =
   let prog =
@@ -67,13 +67,13 @@ let test_vcall_indices () =
       ]
   in
   Alcotest.(check (list string)) "table" [ "alpha"; "beta" ] prog.Asm.vcalls;
-  (match Decode.decode_bytes prog.Asm.text 0 with
+  (match Decode.decode_bytes (Bytes.of_string prog.Asm.text) 0 with
   | Ok (Insn.Vcall 0, _) -> ()
   | _ -> Alcotest.fail "alpha=0");
-  (match Decode.decode_bytes prog.Asm.text 6 with
+  (match Decode.decode_bytes (Bytes.of_string prog.Asm.text) 6 with
   | Ok (Insn.Vcall 1, _) -> ()
   | _ -> Alcotest.fail "beta=1");
-  match Decode.decode_bytes prog.Asm.text 12 with
+  match Decode.decode_bytes (Bytes.of_string prog.Asm.text) 12 with
   | Ok (Insn.Vcall 0, _) -> ()
   | _ -> Alcotest.fail "alpha reused"
 
@@ -90,7 +90,7 @@ let test_blob_and_zeros_layout () =
   (match List.assoc "after" prog.Asm.symbols with
   | `Text, 5 -> ()
   | _ -> Alcotest.fail "label after blob+zeros");
-  Alcotest.(check char) "blob bytes" '\x0f' (Bytes.get prog.Asm.text 0)
+  Alcotest.(check char) "blob bytes" '\x0f' prog.Asm.text.[0]
 
 let tests =
   ( "asm",

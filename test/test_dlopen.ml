@@ -14,22 +14,14 @@ let plugin_path = "/usr/lib/plugin.so"
 
 (* the plugin: one exported function issuing syscall 500 *)
 let plugin_image : Kern.image =
-  {
-    im_name = plugin_path;
-    im_prog =
-      Asm.assemble
-        [
-          Asm.Label "plugin_fn";
-          Asm.I (Insn.Mov_ri (RAX, Sysno.bench_nonexistent));
-          Asm.I Insn.Syscall;
-          Asm.I Insn.Ret;
-        ];
-    im_host_fns = [];
-    im_init = None;
-    im_entry = None;
-    im_needed = [];
-    im_owner = Lib "plugin.so";
-  }
+  Kern.make_image ~name:plugin_path ~owner:(Lib "plugin.so")
+    (Asm.assemble
+       [
+         Asm.Label "plugin_fn";
+         Asm.I (Insn.Mov_ri (RAX, Sysno.bench_nonexistent));
+         Asm.I Insn.Syscall;
+         Asm.I Insn.Ret;
+       ])
 
 let app_items =
   [

@@ -295,6 +295,81 @@ let test_cow_zero_page_stays_zero () =
       Memory.read_u8_raw m 0x602f;
     ]
 
+(* An image segment is mapped by pointing page records at its buffers;
+   to every reader and to the accounting it is [map] then
+   [write_bytes_raw] of its string.  Pages of [zero_mask] are all zero
+   (the segment shares the zero page there), the last page may be
+   partial, the mapping may extend past the segment, and [premap] maps
+   and dirties part of the range first (MAP_FIXED over live pages). *)
+let prop_segment_map =
+  QCheck.Test.make ~name:"memory: map_segment == map + write_bytes_raw" ~count:300
+    QCheck.(quad (int_range 0 (3 * 4096)) (int_range 0 7) bool (int_range 0 2))
+    (fun (len, zero_mask, premap, extra) ->
+      let base = 0x20000 in
+      let s =
+        String.init len (fun i ->
+            if zero_mask land (1 lsl (i / 4096)) <> 0 then '\000'
+            else Char.chr (((i * 131) + len) land 0xff))
+      in
+      let map_len = max 1 len + (extra * 4096) in
+      let prepare () =
+        let m = Memory.create () in
+        if premap then begin
+          Memory.map m ~addr:(base - 4096) ~len:(3 * 4096) ~perm:Memory.perm_rw;
+          Memory.write_bytes_raw m (base - 8) (Bytes.make 4100 '\255')
+        end;
+        m
+      in
+      let by_write = prepare () and by_segment = prepare () in
+      Memory.map by_write ~addr:base ~len:map_len ~perm:Memory.perm_rx;
+      Memory.write_bytes_raw by_write base (Bytes.of_string s);
+      Memory.map_segment by_segment ~addr:base ~len:map_len ~perm:Memory.perm_rx
+        (Memory.segment_of_string s);
+      let lo = if premap then base - 4096 else base in
+      let hi = Memory.align_up (base + map_len) in
+      let view m = (Memory.read_bytes_raw m lo (hi - lo), Memory.get_perm m base) in
+      view by_write = view by_segment
+      && Memory.committed_bytes by_write = Memory.committed_bytes by_segment
+      && Memory.reserved_bytes by_write = Memory.reserved_bytes by_segment)
+
+(* Every write path, and fork, on pages mapped from a segment takes a
+   private copy: a second memory mapping the same segment, and any
+   later mapping of it, still read the source string. *)
+let test_segment_never_written () =
+  let s = String.init (2 * 4096) (fun i -> Char.chr ((i mod 251) + 1)) in
+  let seg = Memory.segment_of_string s in
+  let mapped () =
+    let m = Memory.create () in
+    Memory.map_segment m ~addr:0x1000 ~len:(String.length s) ~perm:Memory.perm_rw seg;
+    m
+  in
+  let contents m = Bytes.to_string (Memory.read_bytes_raw m 0x1000 (String.length s)) in
+  let reads_source what m = Alcotest.(check string) what s (contents m) in
+  let other = mapped () in
+  let writes =
+    [
+      ("write_u8", fun m -> Memory.write_u8 m ~pkru:0 0x1000 0);
+      ("write_u8_raw", fun m -> Memory.write_u8_raw m 0x1ff8 0);
+      ("write_u64", fun m -> Memory.write_u64 m ~pkru:0 0x1ffc 0);
+      ("write_u64_raw", fun m -> Memory.write_u64_raw m 0x2010 0);
+      ("write_u32_raw", fun m -> Memory.write_u32_raw m 0x2020 0);
+      ("write_bytes_raw", fun m -> Memory.write_bytes_raw m 0x1ff0 (Bytes.make 32 '\000'));
+      ( "clone",
+        fun m ->
+          let c = Memory.clone m in
+          Memory.write_u64_raw c 0x1000 0;
+          Memory.write_u64_raw m 0x2000 0 );
+    ]
+  in
+  List.iter
+    (fun (what, write) ->
+      let m = mapped () in
+      write m;
+      Alcotest.(check bool) (what ^ " landed") false (String.equal s (contents m));
+      reads_source (what ^ ": other memory unchanged") other;
+      reads_source (what ^ ": fresh mapping unchanged") (mapped ()))
+    writes
+
 let test_cow_straddling_u64 () =
   let m = Memory.create () in
   Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
@@ -542,6 +617,8 @@ let tests =
       Alcotest.test_case "cow: set_perm on one side" `Quick test_cow_set_perm_one_side;
       Alcotest.test_case "cow: zero page never written" `Quick test_cow_zero_page_stays_zero;
       Alcotest.test_case "cow: straddling u64 across two pages" `Quick test_cow_straddling_u64;
+      QCheck_alcotest.to_alcotest prop_segment_map;
+      Alcotest.test_case "cow: segment pages never written" `Quick test_segment_never_written;
       Alcotest.test_case "icache serves stale lines" `Quick test_icache_caches_stale;
       Alcotest.test_case "icache flush" `Quick test_icache_flush;
       Alcotest.test_case "predecode: self-store re-decodes (SMC)" `Quick

@@ -151,6 +151,50 @@ let test_world_reuse () =
   Alcotest.(check bool) "scratch-world runs equal fresh run" true
     (first = fresh_proj && second = fresh_proj)
 
+(* libc is built once and every process maps its pages copy-on-write:
+   zpoline-ultra rewrites libc's syscall sites in its own process, and
+   the next process to map libc, in the reset world or on another
+   domain, still reads the built-once image's text (outside the slots
+   the loader relocates in every process). *)
+let test_image_pages_shared () =
+  let module Sim = K23_userland.Sim in
+  let module Libc = K23_userland.Libc in
+  let module Mech = K23_eval.Mech in
+  let open K23_isa in
+  let unrelocated text =
+    let b = Bytes.of_string text in
+    List.iter
+      (fun (r : Asm.reloc) -> if r.reloc_section = `Text then Bytes.fill b r.reloc_offset 8 '\000')
+      Libc.image.im_prog.relocs;
+    Bytes.to_string b
+  in
+  let image_text = unrelocated Libc.image.im_prog.text in
+  let libc_text mech w =
+    let path = "/bin/cow-probe" in
+    ignore
+      (Sim.register_app w ~path
+         [ Asm.Label "main"; Asm.Call_sym "getpid"; Asm.I (Insn.Mov_ri (RDI, 0)); Asm.Call_sym "exit" ]);
+    match Mech.launch mech w ~path () with
+    | Error e -> Alcotest.failf "launch failed: %d" e
+    | Ok (p, _) ->
+      K23_kernel.World.run_until_exit w p;
+      let base, _ = Hashtbl.find p.image_bases Libc.path in
+      unrelocated
+        (Bytes.to_string (K23_machine.Memory.read_bytes_raw p.mem base (String.length image_text)))
+  in
+  let rewrite_then_native () =
+    let cfg = K23_kernel.World.Config.default in
+    let w = Sim.create_world_cfg cfg in
+    let rewritten = libc_text Mech.Zpoline_ultra w in
+    Sim.reset_world_cfg w cfg;
+    (rewritten, libc_text Mech.Native w)
+  in
+  List.iter
+    (fun (rewritten, native) ->
+      Alcotest.(check bool) "zpoline-ultra rewrote its libc" false (String.equal rewritten image_text);
+      Alcotest.(check bool) "native libc reads the image" true (String.equal native image_text))
+    (rewrite_then_native () :: Pool.map ~jobs:2 rewrite_then_native [ (); () ])
+
 (* the acceptance-grade invariant, sized for the unit suite: a real
    campaign (fresh worlds, all default mechanisms) renders the same
    JSON bytes sequentially and sharded across 4 domains *)
@@ -170,6 +214,7 @@ let tests =
       Alcotest.test_case "mapi indexes" `Quick test_mapi;
       Alcotest.test_case "calling domain is one of the jobs" `Quick test_caller_is_a_worker;
       Alcotest.test_case "world reuse == fresh world" `Quick test_world_reuse;
+      Alcotest.test_case "image pages shared copy-on-write" `Quick test_image_pages_shared;
       Alcotest.test_case "lowest-index exception wins" `Quick test_exception_lowest_index;
       Alcotest.test_case "campaign jobs=1 == jobs=4" `Slow test_campaign_jobs_identical;
     ] )
