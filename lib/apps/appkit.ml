@@ -22,15 +22,6 @@ let init_sites n =
            Asm.I Insn.Syscall;
          ]))
 
-(** write(1, sym, len) *)
-let print_sym sym len =
-  [
-    Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, sym);
-    Asm.I (Insn.Mov_ri (RDX, len));
-    Asm.Call_sym "write";
-  ]
-
 (** exit(code) *)
 let exit_with code =
   [ Asm.I (Insn.Mov_ri (RDI, code)); Asm.Call_sym "exit" ]

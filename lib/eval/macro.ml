@@ -231,12 +231,6 @@ let assemble_row spec native mech_raws =
   in
   { spec; native_mean; cells }
 
-(** Benchmark one spec across all Table 6 mechanisms, sequentially. *)
-let bench_spec ?(runs = 5) spec =
-  assemble_row spec
-    (measure_cell ~runs spec None)
-    (List.map (fun m -> measure_cell ~runs spec (Some m)) Mech.table6_cols)
-
 (** Table 6, with one pool task per (spec, column) cell — the native
     column included.  Cells come back in submission order whatever
     [jobs] is and the fold into rows is the same [assemble_row] the

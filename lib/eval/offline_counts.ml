@@ -33,20 +33,6 @@ let app_spec_sites spec =
       ~client:(Option.get (Macro.client_for spec ~rounds:3)));
   List.length (K23_core.Log_store.read w ~app:path)
 
-(** The paper's Table 2 (expected column from the paper). *)
-let paper_counts =
-  [
-    ("pwd", 7);
-    ("touch", 9);
-    ("ls", 10);
-    ("cat", 11);
-    ("clear", 13);
-    ("sqlite", 20);
-    ("nginx", 43);
-    ("lighttpd", 44);
-    ("redis", 92);
-  ]
-
 let table2 () =
   let core =
     List.map

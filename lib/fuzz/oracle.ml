@@ -79,6 +79,15 @@ let default_max_steps = 3_000_000
     configuration.  Campaigns carry (and may override) this record. *)
 let default_world_cfg = { World.Config.default with World.Config.seed = default_world_seed }
 
+(* The execve helper never changes, so its image is built once per ISA
+   per host process, as {!Libc.image} is. *)
+let exec_child_image =
+  Sim.app_image ~path:Gen.exec_child_path ~needed:[ Libc.path ]
+    (K23_isa.Asm.assemble Gen.exec_child_items)
+
+let exec_child_image_arm =
+  Sim.app_image ~path:Gen.exec_child_path (K23_isa_arm.Asm_arm.assemble Gen.exec_child_items_arm)
+
 (** Install [items] as the fuzz target (plus the execve helper) in
     [w], which must be a world of the program's ISA. *)
 let register w (items : Gen.items) =
@@ -90,11 +99,10 @@ let register w (items : Gen.items) =
   match items with
   | Gen.X86 its ->
     ignore (Sim.register_app w ~path:target_path its);
-    ignore (Sim.register_app w ~path:Gen.exec_child_path Gen.exec_child_items)
+    Kern.register_library w exec_child_image
   | Gen.A64 its ->
-    let module A = K23_isa_arm.Asm_arm in
-    ignore (Sim.register_app_prog w ~path:target_path (A.assemble its));
-    ignore (Sim.register_app_prog w ~path:Gen.exec_child_path (A.assemble Gen.exec_child_items_arm))
+    ignore (Sim.register_app_prog w ~path:target_path (K23_isa_arm.Asm_arm.assemble its));
+    Kern.register_library w exec_child_image_arm
 
 (* Register the target, run the mechanism's prologue, launch and run
    to completion.  Takes the world as an argument so the fresh-world

@@ -32,10 +32,6 @@ let equal (a : t) (b : t) = a = b
     and report written before the ARM backend stays byte-identical. *)
 let fields = function X86_64 -> [] | isa -> [ ("isa", to_string isa) ]
 
-(** Width in bytes of one instruction slot for fixed-width ISAs; the
-    minimum insn length for x86 (used only for sweep invariants). *)
-let insn_align = function X86_64 -> 1 | Arm64 -> 4
-
 (** Bytes occupied by the host-escape [Vcall] pseudo-instruction:
     6 on x86 (0f 1f /0 imm16-style), one word on arm64 (hlt-space). *)
 let vcall_len = function X86_64 -> 6 | Arm64 -> 4
@@ -47,9 +43,6 @@ let nr_index = function X86_64 -> 0 (* rax *) | Arm64 -> 8 (* x8 *)
 let arg_indices = function
   | X86_64 -> [| 7; 6; 2; 10; 8; 9 |] (* rdi rsi rdx r10 r8 r9 *)
   | Arm64 -> [| 0; 1; 2; 3; 4; 5 |] (* x0..x5 *)
-
-(** Index of the syscall return register (rax / x0 — both 0). *)
-let ret_index = function X86_64 | Arm64 -> 0
 
 (** Index of the stack pointer. *)
 let sp_index = function X86_64 -> 4 (* rsp *) | Arm64 -> 31 (* sp *)

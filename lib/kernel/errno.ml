@@ -32,8 +32,6 @@ let erestartsys = 512
 (** Encode an error as a syscall return value. *)
 let ret e = -e
 
-let is_error v = v < 0
-
 let to_string e =
   match abs e with
   | 1 -> "EPERM"

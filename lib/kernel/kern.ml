@@ -180,7 +180,7 @@ and proc = {
 and world = {
   mutable cost : Cost.model;
       (** immutable in spirit; mutable only so {!World.reset} can
-          replay the per-run skew draw of [create_world] in place *)
+          draw the per-run skew in place *)
   isa : K23_isa.Isa.t;
       (** the machine's instruction set.  A world is single-ISA: every
           image it loads (ld.so, vdso, interposers, apps) targets this
@@ -214,7 +214,7 @@ and world = {
       (** the fault-injection plane.  [None] (the default) is the
           zero-overhead mode, same discipline as [ktrace]: every
           injection site is guarded by a single match on this field.
-          Set from {!World.Config.faults} by [World.wire]. *)
+          Set from {!World.Config.faults} by [World.reset]. *)
   fault_ticks : (int, int) Hashtbl.t;
       (** nr -> count of fault-eligible dispatches so far; the
           schedule's per-nr clock *)
@@ -244,24 +244,22 @@ let panic fmt = Printf.ksprintf (fun s -> raise (Kernel_panic s)) fmt
 (* Signal numbers *)
 let sigill = 4
 let sigtrap = 5
-let sigkill = 9
 let sigsegv = 11
 let sigsys = 31
 
 (* ------------------------------------------------------------------ *)
 (* World construction                                                  *)
 
-let create_world ?(isa = K23_isa.Isa.X86_64) ?(ncores = 12) ?(quantum = 64) ?(seed = 23)
-    ?(aslr = true) ?(cost = Cost.default) ?(predecode = true) () =
-  let rng = Rng.create ~seed in
-  (* per-run machine-state skew (~±0.7% on the kernel path): repeated
-     runs with different seeds show realistic standard deviations *)
-  let cost = { cost with syscall_base = cost.syscall_base + Rng.int rng 3 - 1 } in
+(** Allocate a world's structure: the cores, I-caches and tables its
+    three structural parameters size.  The per-run fields hold
+    placeholders; [World.reset] is the only code that sets them, so a
+    fresh world is an allocated world reset once. *)
+let create_world ~isa ~ncores ~quantum =
   {
-    cost;
+    cost = Cost.default;
     isa;
     ncores;
-    icaches = Array.init ncores (fun _ -> Icache.create ~predecode ());
+    icaches = Array.init ncores (fun _ -> Icache.create ());
     core_cycles = Array.make ncores 0;
     core_resident = Array.make ncores (-1);
     procs = [];
@@ -273,10 +271,10 @@ let create_world ?(isa = K23_isa.Isa.X86_64) ?(ncores = 12) ?(quantum = 64) ?(se
     libraries = Hashtbl.create 16;
     syscall_impl = None;
     execve_impl = None;
-    rng;
+    rng = Rng.create ~seed:0;
     quantum;
     steps = 0;
-    aslr;
+    aslr = false;
     sud_ever_armed = false;
     ktrace = None;
     ktrace_last_tid = Array.make ncores (-1);

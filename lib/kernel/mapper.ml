@@ -14,11 +14,6 @@ open Kern
 
 let align = Memory.align_up
 
-let text_base_of (p : proc) (im : image) =
-  match Hashtbl.find_opt p.image_bases im.im_name with
-  | Some (t, _) -> Some t
-  | None -> None
-
 (** Map one section of [im] into [p]; returns the section base.
     Idempotent per (image, section). *)
 let map_image_section (w : world) (p : proc) (im : image) ~section =

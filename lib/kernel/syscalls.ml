@@ -33,9 +33,6 @@ let map_noreserve = 0x4000
 let perm_of_prot prot =
   { Memory.r = prot land prot_read <> 0; w = prot land prot_write <> 0; x = prot land prot_exec <> 0 }
 
-let prot_of_perm (p : Memory.perm) =
-  (if p.r then prot_read else 0) lor (if p.w then prot_write else 0) lor if p.x then prot_exec else 0
-
 let vfs_err e = Errno.ret (Vfs.err_to_errno e)
 
 let alloc_fd (p : proc) fd =

@@ -9,8 +9,7 @@ open Kern
     Every field is immutable data, and two equal configs (plus equal
     programs) produce byte-identical worlds — which is what lets the
     domain pool ({!K23_par}) run tasks that each build their own world
-    from one.  Prefer {!create_cfg} over the legacy optional-argument
-    {!create}. *)
+    from one. *)
 module Config = struct
   type t = {
     isa : K23_isa.Isa.t;  (** instruction set of every image this world loads *)
@@ -19,11 +18,11 @@ module Config = struct
     seed : int;  (** world RNG seed: ASLR draws + cost skew *)
     aslr : bool;
     cost : K23_machine.Cost.model;
-    ktrace : bool;  (** enable the ktrace ring at creation *)
     predecode : bool;  (** per-line decode memo in every I-cache *)
     faults : K23_faults.Faults.plan;  (** fault-injection schedule; {!K23_faults.Faults.none} = off *)
   }
 
+  (** The default world: the one place its values are written. *)
   let default =
     {
       isa = K23_isa.Isa.X86_64;
@@ -32,58 +31,18 @@ module Config = struct
       seed = 23;
       aslr = true;
       cost = K23_machine.Cost.default;
-      ktrace = false;
       predecode = true;
       faults = K23_faults.Faults.none;
     }
-
-  (** [default] with the given fields overridden — the bridge from the
-      optional-argument world constructors. *)
-  let make ?(isa = default.isa) ?(ncores = default.ncores) ?(quantum = default.quantum)
-      ?(seed = default.seed) ?(aslr = default.aslr) ?(cost = default.cost)
-      ?(ktrace = default.ktrace) ?(predecode = default.predecode) ?(faults = default.faults) () =
-    { isa; ncores; quantum; seed; aslr; cost; ktrace; predecode; faults }
-
 end
 
-(* The wiring shared by {!create_cfg} and {!reset}: dispatch hooks,
-   base images, filesystem skeleton.  Keeping it in one place is what
-   makes "reset ≡ fresh create" an auditable claim rather than two
-   code paths to keep in sync. *)
-let wire (w : world) (cfg : Config.t) =
-  w.syscall_impl <- Some Syscalls.dispatch;
-  w.execve_impl <- Some Loader.do_execve;
-  (match cfg.isa with
-  | K23_isa.Isa.X86_64 ->
-    register_library w Loader.ldso_image;
-    register_library w Loader.vdso_image
-  | K23_isa.Isa.Arm64 ->
-    register_library w Loader.ldso_image_arm;
-    register_library w Loader.vdso_image_arm);
-  List.iter
-    (fun d -> ignore (Vfs.mkdir_p w.vfs d))
-    [ "/bin"; "/usr/lib"; "/etc"; "/tmp"; "/home/user"; "/k23" ];
-  ignore (Vfs.write_file w.vfs "/etc/ld.so.cache" "ld.so cache\n");
-  ignore (Vfs.write_file w.vfs "/etc/hostname" "sim\n");
-  w.faults <- (if K23_faults.Faults.enabled cfg.faults then Some cfg.faults else None);
-  Hashtbl.reset w.fault_ticks;
-  if cfg.ktrace then ignore (ktrace_enable w)
-
-(** Create a fully wired world from a {!Config.t}: syscall dispatch,
-    execve, the dynamic linker, the vdso and a minimal filesystem
-    skeleton. *)
-let create_cfg (cfg : Config.t) =
-  let w =
-    create_world ~isa:cfg.isa ~ncores:cfg.ncores ~quantum:cfg.quantum ~seed:cfg.seed
-      ~aslr:cfg.aslr ~cost:cfg.cost ~predecode:cfg.predecode ()
-  in
-  wire w cfg;
-  w
-
-(** Rebuild [w] in place to the exact observable state of
-    [create_cfg cfg] — the scratch-world path of the domain pool
-    ({!K23_par}): a reused world skips allocating the big structures
-    (cores, I-caches, tables) that a fresh build would recreate.
+(** Set every per-run field of [w] from [cfg] and wire it: syscall
+    dispatch, execve, the dynamic linker, the vdso and a minimal
+    filesystem skeleton.  This is the only initialiser of a world's
+    per-run state: a fresh world is [Kern.create_world] reset once, and
+    a used world reset in place reaches the same observable state —
+    the scratch-world path of the domain pool ({!K23_par}), which skips
+    allocating the big structures (cores, I-caches, tables).
 
     The invariants (test_par.ml pins them; DESIGN.md §4g):
     - the RNG is rewound and the per-run cost skew re-drawn, so the
@@ -93,14 +52,16 @@ let create_cfg (cfg : Config.t) =
       the library table, the ktrace sink, SUD history and per-core
       state (cycles, residency, I-cache contents, predecode memos) are
       emptied exactly as a fresh world starts;
-    - the world's {e structural} parameters ([ncores], [quantum])
-      cannot change in place — a config differing there must rebuild
-      ([Invalid_argument]). *)
+    - the world's {e structural} parameters ([isa], [ncores],
+      [quantum]) cannot change in place — a config differing there
+      must rebuild ([Invalid_argument]). *)
 let reset (w : world) (cfg : Config.t) =
   if cfg.ncores <> w.ncores || cfg.quantum <> w.quantum || cfg.isa <> w.isa then
     invalid_arg "World.reset: isa/ncores/quantum differ from the world being reset";
   Rng.reseed w.rng ~seed:cfg.seed;
-  (* same draw order as create_world: skew first *)
+  (* per-run machine-state skew (~±0.7% on the kernel path), the
+     seed's first draw: repeated runs with different seeds show
+     realistic standard deviations *)
   w.cost <- { cfg.cost with K23_machine.Cost.syscall_base = cfg.cost.K23_machine.Cost.syscall_base + Rng.int w.rng 3 - 1 };
   Array.fill w.core_cycles 0 w.ncores 0;
   Array.fill w.core_resident 0 w.ncores (-1);
@@ -116,15 +77,28 @@ let reset (w : world) (cfg : Config.t) =
   Vfs.reset w.vfs;
   Net.reset w.net;
   Hashtbl.reset w.libraries;
-  w.syscall_impl <- None;
-  w.execve_impl <- None;
   w.steps <- 0;
   w.aslr <- cfg.aslr;
   w.sud_ever_armed <- false;
   w.ktrace <- None;
   Array.fill w.ktrace_last_tid 0 w.ncores (-1);
   w.replay_exit <- None;
-  wire w cfg
+  w.faults <- (if K23_faults.Faults.enabled cfg.faults then Some cfg.faults else None);
+  Hashtbl.reset w.fault_ticks;
+  w.syscall_impl <- Some Syscalls.dispatch;
+  w.execve_impl <- Some Loader.do_execve;
+  (match cfg.isa with
+  | K23_isa.Isa.X86_64 ->
+    register_library w Loader.ldso_image;
+    register_library w Loader.vdso_image
+  | K23_isa.Isa.Arm64 ->
+    register_library w Loader.ldso_image_arm;
+    register_library w Loader.vdso_image_arm);
+  List.iter
+    (fun d -> ignore (Vfs.mkdir_p w.vfs d))
+    [ "/bin"; "/usr/lib"; "/etc"; "/tmp"; "/home/user"; "/k23" ];
+  ignore (Vfs.write_file w.vfs "/etc/ld.so.cache" "ld.so cache\n");
+  ignore (Vfs.write_file w.vfs "/etc/hostname" "sim\n")
 
 (** Spawn a process running [path].  [env] is a list of "K=V" strings;
     LD_PRELOAD is honoured exactly as by the dynamic loader.  A
@@ -147,14 +121,6 @@ let spawn (w : world) ~path ?(argv = []) ?(env = []) ?tracer ?(vdso = true) () =
     end
     else Ok p
 
-(** Attach a ptrace-style tracer to a process (host-agent model; see
-    {!Kern.tracer}). *)
-let attach_tracer (p : proc) (tr : tracer) = p.tracer <- Some tr
-
-let detach_tracer (p : proc) = p.tracer <- None
-
-let run = Kern.run
-
 (** Run until [p] terminates (or the step budget is exhausted). *)
 let run_until_exit ?max_steps (w : world) (p : proc) =
   run ?max_steps ~until:(fun () -> proc_dead p) w
@@ -162,6 +128,3 @@ let run_until_exit ?max_steps (w : world) (p : proc) =
 let exit_code (p : proc) = p.exit_status
 
 let stdout_of = console_output
-
-(** Total simulated wall-clock time (cycles) — the busiest core. *)
-let elapsed_cycles (w : world) = now w

@@ -11,10 +11,9 @@
     The cache is callback-parameterised ([~build]/[~reset]) so this
     library needs only the kernel's types: the userland layer passes
     [Sim.create_world_cfg]/[Sim.reset_world_cfg].  A world is reusable
-    whenever its {e structural} parameters (ncores, quantum) match the
-    requested {!World.Config.t}; every other field is re-derived by the
-    reset.  If the reset path itself raises, the slot falls back to a
-    fresh build — correctness never depends on the cache hitting. *)
+    whenever its {e structural} parameters (isa, ncores, quantum) match
+    the requested {!World.Config.t}; every other field is re-derived by
+    the reset, which is also how a fresh build initialises its world. *)
 
 open K23_kernel
 
@@ -49,15 +48,12 @@ let with_world ~(build : World.Config.t -> Kern.world)
         let w =
           match s.world with
           | Some w
-            when w.Kern.ncores = cfg.World.Config.ncores
-                 && w.Kern.quantum = cfg.World.Config.quantum -> (
-            match reset w cfg with
-            | () ->
-              s.hits <- s.hits + 1;
-              w
-            | exception _ ->
-              s.misses <- s.misses + 1;
-              build cfg)
+            when w.Kern.isa = cfg.World.Config.isa
+                 && w.Kern.ncores = cfg.World.Config.ncores
+                 && w.Kern.quantum = cfg.World.Config.quantum ->
+            reset w cfg;
+            s.hits <- s.hits + 1;
+            w
           | _ ->
             s.misses <- s.misses + 1;
             build cfg

@@ -36,7 +36,7 @@ let record_in w ~cfg ?(max_steps = default_max_steps) ?(argv = []) ~mech ~path (
         Recording.rc_app = path;
         rc_argv = argv;
         rc_mech = mech;
-        rc_cfg = { cfg with World.Config.ktrace = false };
+        rc_cfg = cfg;
         rc_root = p.Kern.pid;
         rc_console = World.stdout_of p;
         rc_fates = Recording.fates_of_world w;
@@ -47,9 +47,6 @@ let record_in w ~cfg ?(max_steps = default_max_steps) ?(argv = []) ~mech ~path (
     (coreutils for the CLI, a generated program for tests). *)
 let record ?(cfg = World.Config.default) ?max_steps
     ?(register = fun (_ : Kern.world) -> ()) ?argv ~mech ~path () =
-  (* the recorder owns the sink (unbounded); a config-enabled bounded
-     ring would shadow it and drop events *)
-  let cfg = { cfg with World.Config.ktrace = false } in
   let w = Sim.create_world_cfg cfg in
   register w;
   record_in w ~cfg ?max_steps ?argv ~mech ~path ()

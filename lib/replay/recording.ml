@@ -260,7 +260,7 @@ let of_string s =
         rc_app = "";
         rc_argv = [];
         rc_mech = Mech.Native;
-        rc_cfg = { World.Config.default with World.Config.ktrace = false };
+        rc_cfg = World.Config.default;
         rc_root = 0;
         rc_console = "";
         rc_fates = [];

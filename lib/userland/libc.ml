@@ -336,7 +336,3 @@ let host_fns =
    state in [p.pstates]. *)
 let image : image =
   make_image ~name:path ~owner:Libc ~host_fns ~init:"__libc_init" (Asm.assemble items)
-
-(** Byte offset of the [syscall] instruction inside a wrapper, from the
-    wrapper's symbol: used by tests to compute expected sites. *)
-let syscall_offset_in_wrapper ~r10 = (if r10 then 3 else 0) + 10

@@ -131,11 +131,33 @@ let test_reset_isa_mismatch () =
   let w = Sim.create_world ~isa () in
   Alcotest.check_raises "reset refuses isa change"
     (Invalid_argument "World.reset: isa/ncores/quantum differ from the world being reset")
-    (fun () -> ignore (World.reset w (World.Config.make ())))
+    (fun () -> ignore (World.reset w World.Config.default))
+
+(* ARM apps are freestanding: an ARM world, fresh or reset in place,
+   registers none of the x86 userland images (libc, the stub
+   libraries), neither in the library table nor as VFS files *)
+let test_no_x86_image () =
+  let x86_images = Libc.image :: Stdlibs.all in
+  let holds w (im : Kern.image) =
+    Hashtbl.mem w.Kern.libraries im.im_name || Vfs.exists w.Kern.vfs im.im_name
+  in
+  let check_world what w =
+    List.iter
+      (fun (im : Kern.image) ->
+        Alcotest.(check bool) (Printf.sprintf "%s: no %s" what im.im_name) false (holds w im))
+      x86_images;
+    Alcotest.(check bool) (what ^ ": ARM ld.so registered") true (holds w Loader.ldso_image_arm)
+  in
+  let w = Sim.create_world ~isa () in
+  check_world "fresh" w;
+  Sim.reset_world_cfg w { World.Config.default with isa };
+  check_world "reset" w;
+  Alcotest.(check bool) "an x86 world holds libc" true (holds (Sim.create_world ()) Libc.image)
 
 let tests =
   ( "arm world (AArch64 backend)",
     [
+      Alcotest.test_case "an ARM world holds no x86 image" `Quick test_no_x86_image;
       Alcotest.test_case "hello boots natively" `Quick test_hello_native;
       Alcotest.test_case "mech parity on well-behaved app" `Quick test_mech_parity;
       Alcotest.test_case "asc-hook is register-transparent" `Quick test_asc_transparent;

@@ -151,6 +151,57 @@ let test_world_reuse () =
   Alcotest.(check bool) "scratch-world runs equal fresh run" true
     (first = fresh_proj && second = fresh_proj)
 
+(* the scratch-world cache's reuse decision: a config with the same
+   structure (isa, ncores, quantum) reuses the domain's world; one that
+   differs in any of the three builds a fresh world, counted as a miss
+   and raising nothing.  Every run projects exactly as a fresh world
+   built from its config. *)
+let test_world_cache_reuse () =
+  let module Oracle = K23_fuzz.Oracle in
+  let module Gen = K23_fuzz.Gen in
+  let module Sim = K23_userland.Sim in
+  let module Cache = K23_par.World_cache in
+  let module Config = K23_kernel.World.Config in
+  let project (cfg : Config.t) w =
+    let items = (Gen.generate ~isa:cfg.isa (K23_util.Rng.create ~seed:4242)).Gen.items in
+    match Oracle.launch_in w ~max_steps:Oracle.default_max_steps ~mech:K23_eval.Mech.Sud items with
+    | Error e -> Alcotest.failf "launch failed: %d" e
+    | Ok (p, events) -> Oracle.project p w events
+  in
+  let via_cache cfg =
+    let h0, m0 = Cache.stats () in
+    let proj =
+      Cache.with_world ~build:Sim.create_world_cfg ~reset:Sim.reset_world_cfg cfg (fun w ->
+          Alcotest.(check bool) "world has the config's structure" true
+            (w.K23_kernel.Kern.isa = cfg.isa && w.ncores = cfg.ncores && w.quantum = cfg.quantum);
+          project cfg w)
+    in
+    let h1, m1 = Cache.stats () in
+    (proj, (h1 - h0, m1 - m0))
+  in
+  let base = Oracle.default_world_cfg in
+  let small = { base with ncores = base.ncores / 2; quantum = base.quantum * 2 } in
+  ignore (via_cache base);
+  List.iter
+    (fun (what, (cfg : Config.t), hit) ->
+      let proj, counts = via_cache cfg in
+      Alcotest.(check (pair int int)) (what ^ ": hit/miss") (if hit then (1, 0) else (0, 1)) counts;
+      Alcotest.(check bool)
+        (what ^ ": projection equals a fresh world's")
+        true
+        (proj = project cfg (Sim.create_world_cfg cfg)))
+    [
+      ("same structure, other seed", { base with seed = base.seed + 1 }, true);
+      ("other isa", { base with isa = K23_isa.Isa.Arm64 }, false);
+      ("same isa again", { base with isa = K23_isa.Isa.Arm64; aslr = false }, true);
+      ("back to x86", base, false);
+      ("other ncores", { base with ncores = small.ncores }, false);
+      ("other quantum", small, false);
+      ( "same structure, other cost",
+        { small with cost = { small.cost with syscall_base = small.cost.syscall_base + 50 } },
+        true );
+    ]
+
 (* libc is built once and every process maps its pages copy-on-write:
    zpoline-ultra rewrites libc's syscall sites in its own process, and
    the next process to map libc, in the reset world or on another
@@ -214,6 +265,7 @@ let tests =
       Alcotest.test_case "mapi indexes" `Quick test_mapi;
       Alcotest.test_case "calling domain is one of the jobs" `Quick test_caller_is_a_worker;
       Alcotest.test_case "world reuse == fresh world" `Quick test_world_reuse;
+      Alcotest.test_case "world cache: reuse decision" `Quick test_world_cache_reuse;
       Alcotest.test_case "image pages shared copy-on-write" `Quick test_image_pages_shared;
       Alcotest.test_case "lowest-index exception wins" `Quick test_exception_lowest_index;
       Alcotest.test_case "campaign jobs=1 == jobs=4" `Slow test_campaign_jobs_identical;
